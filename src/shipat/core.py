@@ -136,7 +136,8 @@ def enumerate_paths(s: int, prefix: str = "") -> Iterator[DyckPath]:
     """Yield every Dyck path of semilength ``s`` once, in lexicographic order.
 
     ``prefix`` restricts the stream to paths starting with the given word,
-    which lets callers split the enumeration for parallel consumption.
+    which lets callers split the enumeration for parallel consumption.  The
+    stream is produced iteratively (no recursion), so any semilength works.
     """
     if s < 0:
         raise ValueError("semilength must be >= 0")
@@ -144,24 +145,24 @@ def enumerate_paths(s: int, prefix: str = "") -> Iterator[DyckPath]:
     downs = len(prefix) - ups
     if set(prefix) - {"U", "D"} or ups > s or downs > ups:
         raise ValueError(f"not a legal Dyck prefix for semilength {s}: {prefix!r}")
+    return _paths_after(s, prefix, ups, downs)
 
-    word = list(prefix)
 
-    def extend(ups: int, downs: int) -> Iterator[DyckPath]:
-        if ups == s and downs == s:
-            yield DyckPath("".join(word))
+def _paths_after(s: int, prefix: str, ups: int, downs: int) -> Iterator[DyckPath]:
+    # 'D' < 'U' in ASCII, so the smallest completion of a prefix with u U
+    # and d D steps closes it first: D^(u-d) (UD)^(s-u).  The successor of
+    # a word A D U^a D^b (U^a its last ascent) is A U plus the smallest
+    # completion; the stream ends when that D would lie inside the prefix.
+    word = prefix + "D" * (ups - downs) + "UD" * (s - ups)
+    while True:
+        yield DyckPath(word)
+        last_up = word.rfind("U")
+        t = word.rfind("D", 0, last_up)
+        if t < len(prefix):
             return
-        # 'D' < 'U' in ASCII, so trying D first yields ascending order.
-        if downs < ups:
-            word.append("D")
-            yield from extend(ups, downs + 1)
-            word.pop()
-        if ups < s:
-            word.append("U")
-            yield from extend(ups + 1, downs)
-            word.pop()
-
-    return extend(ups, downs)
+        ups = s - (last_up - t) + 1
+        downs = t - (ups - 1)
+        word = word[:t] + "U" + "D" * (ups - downs) + "UD" * (s - ups)
 
 
 def mirror(p: DyckPath) -> DyckPath:

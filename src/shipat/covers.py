@@ -36,6 +36,7 @@ from .core import (
     strongly_irreducible_decomposition,
     valleys,
     CONNECTING,
+    _down_step_heights,
 )
 from .poset import IndexOutOfRange, lower_covers, upper_covers
 
@@ -57,8 +58,9 @@ ALL_BRANCHES = (
 )
 
 # The 4n-5 upper-cover formula for U(UD)^{n-1}D (n = semilength) is negative
-# at n = 2; the oracle audit shows it is exact for every n >= 3, and the
-# n = 2 path U^2D^2 belongs to the pyramid family anyway.
+# at n = 2; the oracle audit shows it is exact for every n >= 3, and
+# classify_branch sends the n <= 2 paths UD and U^2D^2 to the minimum and
+# pyramid branches first, so the formula never sees them.
 PEAK_RUN_MIN_SEMILENGTH = 3
 
 
@@ -101,6 +103,17 @@ def _symmetric_arm(p: DyckPath) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def _col_u(ups_before: list[int], c: int) -> int:
+    """colU(c) in O(1), from ``ups_before[j - 1]`` = number of U before D_j.
+
+    colU(c) = (U before D_{c+1}, or s if c = s) - (U before D_{c-1}, or 0
+    if c = 1).
+    """
+    s = len(ups_before)
+    return ((ups_before[c] if c < s else s)
+            - (ups_before[c - 2] if c >= 2 else 0))
+
+
 def column_subpath_ucount(p: DyckPath, c: int) -> int:
     """Number of U steps strictly between D_{c-1} and D_{c+1}.
 
@@ -111,20 +124,18 @@ def column_subpath_ucount(p: DyckPath, c: int) -> int:
     s = p.semilength
     if not 1 <= c <= s:
         raise IndexOutOfRange(f"column {c} outside 1..{s}")
-    downs = [pos for pos, char in enumerate(p.word) if char == "D"]
-    lo = downs[c - 2] if c >= 2 else -1
-    hi = downs[c] if c < s else len(p.word)
-    return p.word[lo + 1:hi].count("U")
+    return _col_u(_down_step_heights(p), c)
 
 
 def _up_irred(p: DyckPath) -> int:
     """Column formula 2s + 1 + sum b_i * colU(a_1 + ... + a_i)."""
     rf = run_form(p)
+    ups_before = _down_step_heights(p)
     total = 2 * p.semilength + 1
     prefix = 0
     for a_i, b_i in zip(rf.ascents, rf.descents):
         prefix += a_i
-        total += b_i * column_subpath_ucount(p, prefix)
+        total += b_i * _col_u(ups_before, prefix)
     return total
 
 
@@ -182,8 +193,6 @@ def count_upper_covers(p: DyckPath) -> int:
     if branch in (BRANCH_MINIMUM, BRANCH_ZIGZAG, BRANCH_PYRAMID):
         return 2 * s
     if branch == BRANCH_PEAK_RUN:
-        if s < PEAK_RUN_MIN_SEMILENGTH:
-            return len(upper_covers(p))
         return 4 * s - 5
     if branch == BRANCH_SYMMETRIC:
         return _up_irred(p) - 1

@@ -6,6 +6,16 @@ removes the i-th U step together with the i-th D step, and
 step.  A path covers every result of a single bounce deletion; iterating
 deletions gives the pattern order (q occurs in p iff q is reachable from p).
 
+All cover generation goes through one word kernel: the U and D step
+positions are computed once per path, every deletion child is cut out of
+the word by slicing, and bounce insertions are enumerated directly, placing
+the new D only where it becomes D_{i-1} or D_i of the new U_i and where
+the word stays a Dyck word.  Each child word is built once, collected in a
+set, and only then turned into a (validated) :class:`DyckPath`, so a cover
+set of a path of semilength s costs O(s) per candidate child instead of a
+search over all O(s^2) insertion pairs.  :func:`upper_covers_by_search`
+keeps that all-pairs search as the independent oracle.
+
 Cover enumeration is pure; the containment search keeps a module-level memo
 keyed by canonical words that is shared across queries.  All values handled
 here are immutable, so the cache races (if any) are benign last-write-wins
@@ -58,8 +68,67 @@ class Deletion:
             raise ValueError("k must be >= 1 (i = 1 forces k = 1)")
 
 
-def _step_positions(word: str, letter: str) -> list[int]:
-    return [pos for pos, char in enumerate(word) if char == letter]
+def _step_positions(word: str) -> tuple[list[int], list[int]]:
+    """Word positions of the U steps and of the D steps, in order."""
+    ups: list[int] = []
+    downs: list[int] = []
+    for pos, char in enumerate(word):
+        (ups if char == "U" else downs).append(pos)
+    return ups, downs
+
+
+def _drop_two(word: str, a: int, b: int) -> str:
+    """The word without its letters at the distinct positions a and b."""
+    if a > b:
+        a, b = b, a
+    return word[:a] + word[a + 1:b] + word[b + 1:]
+
+
+def _deletion_words(word: str) -> Iterator[tuple[int, int, str]]:
+    """(i, k, result) for every bounce deletion delta(i, k) of a word of
+    semilength >= 2, in the order of :func:`deletions`."""
+    ups, downs = _step_positions(word)
+    for i, u in enumerate(ups, start=1):
+        if i >= 2:
+            yield i, i - 1, _drop_two(word, u, downs[i - 2])
+        yield i, i, _drop_two(word, u, downs[i - 1])
+
+
+def _insertion_words(word: str) -> set[str]:
+    """Every word that deletes to ``word`` by one bounce deletion.
+
+    The new U goes at each position ``u_spot`` and becomes U_i.  The new D
+    must become D_{i-1} or D_i, so it goes after D_{i-2} and at or before
+    D_i of the word with the U inserted.  It must also go after the last
+    return to the diagonal at or before ``u_spot``, or some prefix would
+    dip below the diagonal; every other placement gives a Dyck word.
+    """
+    n = len(word)
+    downs = _step_positions(word)[1]
+    s = len(downs)
+    out: set[str] = set()
+    ups_before = 0
+    height = 0
+    last_zero = 0
+    for u_spot in range(n + 1):
+        if u_spot:
+            if word[u_spot - 1] == "U":
+                ups_before += 1
+                height += 1
+            else:
+                height -= 1
+                if height == 0:
+                    last_zero = u_spot
+        i = ups_before + 1
+        # Positions of D_{i-2} and D_i once the U is in; D_j for j < 1 sits
+        # before the word and D_{s+1} after it.  D_i follows the old U_i,
+        # which is at or after u_spot, so it always moves one place right.
+        lo = -1 if i <= 2 else downs[i - 3] + (downs[i - 3] >= u_spot)
+        hi = n + 1 if i > s else downs[i - 1] + 1
+        with_u = word[:u_spot] + "U" + word[u_spot:]
+        for d_spot in range(max(lo, last_zero) + 1, hi + 1):
+            out.add(with_u[:d_spot] + "D" + with_u[d_spot:])
+    return out
 
 
 def bounce_delete(p: DyckPath, d: Deletion) -> DyckPath:
@@ -69,10 +138,8 @@ def bounce_delete(p: DyckPath, d: Deletion) -> DyckPath:
         raise IndexOutOfRange(f"cannot delete from a path of semilength {s}")
     if not 1 <= d.i <= s:
         raise IndexOutOfRange(f"U index {d.i} outside 1..{s}")
-    ups = _step_positions(p.word, "U")
-    downs = _step_positions(p.word, "D")
-    drop = {ups[d.i - 1], downs[d.k - 1]}
-    word = "".join(c for pos, c in enumerate(p.word) if pos not in drop)
+    ups, downs = _step_positions(p.word)
+    word = _drop_two(p.word, ups[d.i - 1], downs[d.k - 1])
     try:
         return DyckPath(word)
     except ValueError as exc:
@@ -91,23 +158,25 @@ def lower_covers(p: DyckPath) -> frozenset[DyckPath]:
     """Distinct results of all bounce deletions (empty for semilength <= 1)."""
     if p.semilength < 2:
         return frozenset()
-    return frozenset(bounce_delete(p, d) for d in deletions(p))
+    return frozenset(map(DyckPath, {w for _, _, w in _deletion_words(p.word)}))
 
 
 def cover_collisions(p: DyckPath) -> dict[DyckPath, list[Deletion]]:
     """Children that arise from more than one deletion, with the witnesses."""
-    hits: dict[DyckPath, list[Deletion]] = {}
+    hits: dict[str, list[Deletion]] = {}
     if p.semilength >= 2:
-        for d in deletions(p):
-            hits.setdefault(bounce_delete(p, d), []).append(d)
-    return {child: ds for child, ds in hits.items() if len(ds) > 1}
+        for i, k, word in _deletion_words(p.word):
+            hits.setdefault(word, []).append(Deletion(i, k))
+    return {DyckPath(word): ds for word, ds in hits.items() if len(ds) > 1}
 
 
 def _insertions(p: DyckPath) -> Iterator[tuple[DyckPath, int, int]]:
     """All words made by inserting one U and one D, with the new step indices.
 
     Yields (q, i, k) where the inserted U is the i-th U of q and the inserted
-    D is the k-th D of q; invalid words are skipped.
+    D is the k-th D of q; invalid words are skipped.  This tries all
+    O(s^2) insertion pairs and is kept only for the independent oracle
+    :func:`upper_covers_by_search`.
     """
     word = p.word
     n = len(word)
@@ -128,9 +197,12 @@ def upper_covers(p: DyckPath) -> frozenset[DyckPath]:
 
     A bounce insertion adds a U step (becoming U_i) and a D step placed so
     that it becomes D_{i-1} or D_i, i.e. exactly the insertions undone by a
-    bounce deletion.
+    bounce deletion.  The insertions are enumerated directly (see
+    :func:`_insertion_words`), so the cost is O(s) per candidate cover,
+    about O(s^2) for a typical path rather than O(s^3) for trying every
+    insertion pair; :func:`upper_covers_by_search` is the all-pairs oracle.
     """
-    return frozenset(q for q, i, k in _insertions(p) if k in (i - 1, i))
+    return frozenset(map(DyckPath, _insertion_words(p.word)))
 
 
 def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:

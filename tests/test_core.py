@@ -227,6 +227,37 @@ class TestEnumeration:
         assert whole == shards[0] | shards[1]
         assert not shards[0] & shards[1]
 
+    def test_large_semilength_has_no_recursion_limit(self):
+        s = 1000
+        assert next(enumerate_paths(s)).word == "UD" * s
+        tail = [p.word for p in enumerate_paths(s, "U" * (s - 1))]
+        assert len(tail) == s
+        assert tail == sorted(tail)
+        assert tail[-1] == "U" * s + "D" * s
+
+    @pytest.mark.parametrize("prefix", ["", "U", "UD", "UU", "UDU", "UUD", "UUU"])
+    def test_stream_matches_depth_first_reference(self, prefix):
+        def reference(s, word):
+            ups = word.count("U")
+            downs = len(word) - ups
+            if ups == downs == s:
+                yield word
+            if downs < ups:
+                yield from reference(s, word + "D")
+            if ups < s:
+                yield from reference(s, word + "U")
+
+        for s in range(9):
+            if prefix.count("U") > s:
+                continue
+            assert [p.word for p in enumerate_paths(s, prefix)] == list(
+                reference(s, prefix))
+
+    def test_bad_prefix_rejected(self):
+        for s, prefix in ((2, "x"), (1, "UU"), (2, "UDD")):
+            with pytest.raises(ValueError):
+                enumerate_paths(s, prefix)
+
     def test_mirror_is_involution(self):
         for p in enumerate_paths(4):
             assert mirror(mirror(p)) == p

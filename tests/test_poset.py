@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from shipat import (
     Deletion,
+    DyckPath,
     IndexOutOfRange,
     ResourceLimit,
     avoids,
@@ -17,6 +20,7 @@ from shipat import (
     upper_covers,
     upper_covers_by_search,
 )
+from shipat.covers import count_lower_covers, count_upper_covers
 from shipat.poset import contains_pattern_noprune
 
 from conftest import dyck_paths
@@ -84,6 +88,70 @@ class TestCovers:
     def test_collisions_exist(self):
         # two distinct deletions of UUDD give the same child
         assert cover_collisions(parse_path("UUDD"))
+
+
+def _uniform_word(rng, s):
+    """A uniform Dyck word of semilength s, by the cycle lemma."""
+    steps = ["U"] * s + ["D"] * (s + 1)
+    rng.shuffle(steps)
+    height = lowest = start = 0
+    for pos, step in enumerate(steps, start=1):
+        height += 1 if step == "U" else -1
+        if height < lowest:
+            lowest, start = height, pos
+    return "".join(steps[start:] + steps[:start])[:-1]
+
+
+def _nth(word, letter, n):
+    """String index of the n-th (1-based) occurrence of letter."""
+    return [pos for pos, char in enumerate(word) if char == letter][n - 1]
+
+
+def _upper_by_all_pairs(word):
+    """Every U/D insertion pair, kept when the word is Dyck and the new D
+    is the (i-1)-st or i-th D of the new i-th U."""
+    out = set()
+    for u_spot in range(len(word) + 1):
+        with_u = word[:u_spot] + "U" + word[u_spot:]
+        i = with_u[:u_spot].count("U") + 1
+        k = 1
+        for d_spot in range(len(with_u) + 1):
+            if d_spot and with_u[d_spot - 1] == "D":
+                k += 1
+            if k in (i - 1, i):
+                q = with_u[:d_spot] + "D" + with_u[d_spot:]
+                try:
+                    out.add(DyckPath(q))
+                except ValueError:
+                    pass
+    return out
+
+
+def _lower_by_string_index(word):
+    s = len(word) // 2
+    out = set()
+    for i in range(1, s + 1):
+        for k in (i - 1, i):
+            if k >= 1:
+                drop = {_nth(word, "U", i), _nth(word, "D", k)}
+                out.add(DyckPath("".join(
+                    c for pos, c in enumerate(word) if pos not in drop)))
+    return out
+
+
+class TestKernelAtScale:
+    @pytest.mark.parametrize("seed", [11, 22, 33, 44, 55, 66])
+    def test_seeded_large_semilength(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            word = _uniform_word(rng, rng.randint(20, 80))
+            p = DyckPath(word)
+            ups = upper_covers(p)
+            assert ups == _upper_by_all_pairs(word)
+            assert len(ups) == count_upper_covers(p)
+            lows = lower_covers(p)
+            assert lows == _lower_by_string_index(word)
+            assert len(lows) == count_lower_covers(p)
 
 
 class TestContainment:
