@@ -13,9 +13,9 @@ and strip-confined lattice path counts.  Both the characterizations and the
 closed counts are cross-checked against the brute-force search oracle in
 the test suite.
 
-All counting here is exact integer arithmetic; rational prefactors of the
-reflection-principle formula are evaluated as fractions and asserted
-integral before use.
+All counting here is exact integer arithmetic.  Bounded-height counts are
+strip counts, and every strip count is one reflection-principle sum whose
+terms are exact integer divisions with a zero remainder asserted.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from .core import (
     DyckPath,
@@ -178,17 +177,15 @@ def flatten_high_peaks(p: DyckPath, level: int) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def bounded_height_count(n: int, k: int) -> int:
-    """Dyck paths of semilength n with height at most k."""
+    """Dyck paths of semilength n with height at most k.
+
+    Reading U as a step up in y and D as a step right in x, height <= k is
+    the strip 0 <= y - x <= k, so this is ``f_count(n, n, k)``.
+    """
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return sum(bounded_height_count(i, k) * bounded_height_count(n - 1 - i, k - 1)
-               for i in range(n))
+    return f_count(n, n, k)
 
 
 def ballot_count(n: int, ell: int) -> int:
@@ -200,38 +197,54 @@ def ballot_count(n: int, ell: int) -> int:
     return value // (n + 1)
 
 
+def _binomial_run(size: int, j: int, step: int, count: int) -> Iterator[int]:
+    """Yield C(size, j + t * step) for t = 0 .. count - 1.
+
+    ``math.comb`` runs once; each later value comes from the one before by
+    ``step`` small factors and an exact division.
+    """
+    if count <= 0:
+        return
+    binom = math.comb(size, j)
+    yield binom
+    for j in range(j, j + (count - 1) * step, step):
+        # C(size, j + step) = C(size, j) (size - j)_step / (j + step)_step
+        binom = (binom * math.prod(range(size - j - step + 1, size - j + 1))
+                 // math.prod(range(j + 1, j + step + 1)))
+        yield binom
+
+
 def f_count(m: int, n: int, k: int) -> int:
     """Strip-confined path count by the iterated reflection principle.
 
     Counts monotone lattice paths from (0, 0) to (m, n) all of whose points
     (x, y) satisfy x <= y <= x + k, as two sums of ballot-type terms over
-    reflected endpoints; each term is asserted integral and the loops stop
-    as soon as the binomial index leaves [0, m + n].  An endpoint outside
-    the strip admits no path at all, which is outside the reflection
-    identity's domain, so that case returns 0 directly.
+    the reflected indices j = m - i(k + 2) >= 0 and j = m + i(k + 2) - 1 <=
+    m + n.  Each term is numerator * C(m + n, j) // denominator in exact
+    integer arithmetic, with its zero remainder asserted.  The binomials of
+    a sum come from one ``math.comb`` stepped by k + 2 (``_binomial_run``);
+    the first sum reads C(m + n, m - i(k + 2)) as C(m + n, n + i(k + 2)).
+    An endpoint outside the strip admits no path at all, which is outside
+    the reflection identity's domain, so that case returns 0 directly.
     """
     if m < 0 or n < 0 or k < 0:
         raise ValueError("m, n, k must be >= 0")
     if not 0 <= n - m <= k:
         return 0
     period = k + 2
-    total = Fraction(0)
-    i = 0
-    while m - i * period >= 0:
-        term = (Fraction(n - m + 2 * i * period + 1, n + i * period + 1)
-                * math.comb(m + n, m - i * period))
-        assert term.denominator == 1
+    total = 0
+    down = _binomial_run(m + n, n, period, m // period + 1)
+    for i, binom in enumerate(down):
+        term, rest = divmod((n - m + 2 * i * period + 1) * binom,
+                            n + i * period + 1)
+        assert rest == 0
         total += term
-        i += 1
-    i = 1
-    while m + i * period - 1 <= m + n:
-        term = (Fraction(n - m - 2 * i * period + 1, m + i * period)
-                * math.comb(m + n, m + i * period - 1))
-        assert term.denominator == 1
+    up = _binomial_run(m + n, m + period - 1, period, (n + 1) // period)
+    for i, binom in enumerate(up, start=1):
+        term, rest = divmod((n - m - 2 * i * period + 1) * binom, m + i * period)
+        assert rest == 0
         total += term
-        i += 1
-    assert total.denominator == 1
-    return int(total)
+    return total
 
 
 def f_count_oracle(m: int, n: int, k: int) -> int:

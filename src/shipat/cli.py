@@ -97,9 +97,22 @@ def _cmd_covers(args) -> int:
     return 0
 
 
+def _range_error(args) -> str | None:
+    """The usage error of a negative ``--n-max`` or a ``--jobs`` below 1."""
+    if args.n_max < 0:
+        return "--n-max must be >= 0"
+    if args.jobs < 1:
+        return "--jobs must be >= 1"
+    return None
+
+
 def _cmd_count_avoiders(args) -> int:
     if args.k < 2:
         print("error: --k must be >= 2", file=sys.stderr)
+        return 2
+    error = _range_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     if args.format == "oeis" and args.method == "both":
         print("error: oeis format needs a single method", file=sys.stderr)
@@ -174,6 +187,10 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    error = _range_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     results = verify.run_suite(args.suite, n_max=args.n_max, jobs=args.jobs)
     for result in results:
         print(result.line())

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 
@@ -136,14 +137,16 @@ def enumerate_paths(s: int, prefix: str = "") -> Iterator[DyckPath]:
     """Yield every Dyck path of semilength ``s`` once, in lexicographic order.
 
     ``prefix`` restricts the stream to paths starting with the given word,
-    which lets callers split the enumeration for parallel consumption.  The
+    which lets callers split the enumeration for parallel consumption; a
+    prefix that begins no such path raises ``ValueError`` at the call.  The
     stream is produced iteratively (no recursion), so any semilength works.
     """
     if s < 0:
         raise ValueError("semilength must be >= 0")
     ups = prefix.count("U")
     downs = len(prefix) - ups
-    if set(prefix) - {"U", "D"} or ups > s or downs > ups:
+    heights = accumulate(1 if char == "U" else -1 for char in prefix)
+    if set(prefix) - {"U", "D"} or ups > s or min(heights, default=0) < 0:
         raise ValueError(f"not a legal Dyck prefix for semilength {s}: {prefix!r}")
     return _paths_after(s, prefix, ups, downs)
 

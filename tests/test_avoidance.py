@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 
@@ -129,6 +132,40 @@ class TestCounting:
                 for k in range(6):
                     assert f_count(m, n, k) == f_count_oracle(m, n, k)
 
+    def test_bounded_height_counts_enumerated_paths(self):
+        for s in range(11):
+            heights = [height(p) for p in enumerate_paths(s)]
+            for k in range(7):
+                assert bounded_height_count(s, k) == \
+                    sum(1 for h in heights if h <= k), (s, k)
+
+    def test_bounded_height_against_strip_oracle(self):
+        for n in range(60):
+            for k in range(14):
+                assert bounded_height_count(n, k) == f_count_oracle(n, n, k)
+        with pytest.raises(ValueError):
+            bounded_height_count(-1, 2)
+
+    def test_f_count_against_oracle_large(self):
+        rng = random.Random(20201)
+        cases = []
+        for _ in range(10):
+            m, k = rng.randint(200, 1500), rng.randint(0, 12)
+            cases.append((m, m + rng.randint(0, k), k))
+        for k in (0, 1, 3, 7):
+            period = k + 2
+            # n - m at both ends of [0, k], and m below one period
+            cases += [(900, 900, k), (900, 900 + k, k),
+                      (period - 1, period - 1, k), (period - 1, period - 1 + k, k)]
+            # the last index m - i * period lands exactly on 0
+            m = 150 * period
+            cases += [(m, m, k), (m, m + k, k)]
+            # the last index m + i * period - 1 lands exactly on m + n
+            n = 150 * period - 1
+            cases += [(n, n, k), (n - k, n, k)]
+        for m, n, k in cases:
+            assert f_count(m, n, k) == f_count_oracle(m, n, k), (m, n, k)
+
     def test_brute_small_patterns(self):
         assert count_avoiders_brute(pattern("te", 2), 2) == 4
         assert count_avoiders_brute(pattern("tg", 2), 3) == 7
@@ -167,6 +204,67 @@ class TestCounting:
     def test_parallel_matches_serial(self):
         q = pattern("tg", 2)
         assert count_avoiders_brute(q, 6, jobs=2) == count_avoiders_brute(q, 6)
+
+
+def _height_bounded_counts(k, s_max):
+    """Dyck words of semilength s = 0..s_max and height <= k, by a transfer
+    matrix over the current height."""
+    ways = [1] + [0] * k
+    counts = [1]
+    for _ in range(2 * s_max):
+        ways = [(ways[h - 1] if h else 0) + (ways[h + 1] if h < k else 0)
+                for h in range(k + 1)]
+        counts.append(ways[0])
+    return counts[::2]
+
+
+def _stripped_avoider_counts(k, n_max):
+    """Shi tableaux of size n = 0..n_max whose stripped tableau has height
+    <= k - 1, counted over area vectors row by row.
+
+    a_1 = 0 and 0 <= a_{i+1} <= a_i + 1.  The all-empty rows (a_i = i - 1)
+    form a prefix; the rows after it, numbered j = 1, 2, ..., must have
+    min(a_i, j - 1) <= k - 2, which only bounds a_i once j >= k.
+    """
+    counts = [1]
+    # rows[j][a]: vectors whose last row is the j-th non-empty one (j is
+    # capped at k) and has a empty boxes; the all-empty vector is implicit
+    rows = [[0] for _ in range(k + 1)]
+    for i in range(1, n_max + 1):  # append row i + 1, which has i boxes
+        new = [[0] * (i + 1) for _ in range(k + 1)]
+        new[1][:i] = [1] * i  # first non-empty row after the empty prefix
+        for j in range(1, k + 1):
+            # the next row may have b <= a + 1 empty boxes
+            suffix = list(accumulate(reversed(rows[j])))[::-1]
+            top = k - 2 if j + 1 >= k else i
+            for b in range(min(top, len(suffix)) + 1):
+                new[min(j + 1, k)][b] += suffix[max(b - 1, 0)]
+        rows = new
+        counts.append(1 + sum(map(sum, rows)))
+    return counts
+
+
+class TestClosedAtScale:
+    """Seeded audit of the closed avoider counts at n = 30..150, far past
+    the exhaustive range of the brute-force search oracle."""
+
+    def test_stripped_dp_matches_published_terms(self):
+        assert _stripped_avoider_counts(5, 13) == TV5_TERMS
+        assert _stripped_avoider_counts(6, 13) == TV6_TERMS
+
+    def test_closed_against_dps(self):
+        rng = random.Random(150)
+        for k in range(2, 7):
+            heights = _height_bounded_counts(k, 151)
+            stripped = _stripped_avoider_counts(k, 150)
+            for tag in FAMILY_TAGS:
+                for n in rng.sample(range(30, 151), 3):
+                    if tag in ("te", "tf") or (tag == "tg" and k >= 3):
+                        expected = heights[n + 1]
+                    else:
+                        expected = stripped[n]
+                    assert count_avoiders_closed(tag, k, n) == expected, \
+                        (tag, k, n)
 
 
 class TestZeta:

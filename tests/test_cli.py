@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from shipat.cli import main
 
 TV5_LINE = "1 2 5 14 42 131 413 1294 4007 12272 37277 112622 339152 1019457\n"
@@ -129,6 +131,21 @@ class TestOthers:
                                 "--k", "3", "--n-max", "6", "--method", "closed")
             outputs.add(out)
         assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count-avoiders", "--family", "te", "--k", "2", "--n-max", "-3"],
+     "--n-max"),
+    (["count-avoiders", "--family", "tv", "--k", "3", "--n-max", "4",
+      "--method", "brute", "--jobs", "0"], "--jobs"),
+    (["verify", "--suite", "core", "--n-max", "-1"], "--n-max"),
+    (["verify", "--suite", "core", "--n-max", "3", "--jobs", "-2"], "--jobs"),
+])
+def test_illegal_counts_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_console_entry_point():

@@ -258,6 +258,12 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 enumerate_paths(s, prefix)
 
+    def test_prefix_dipping_below_zero_rejected_eagerly(self):
+        # the totals of these prefixes are legal; the running height is not
+        for s, prefix in ((2, "DU"), (3, "UDDU")):
+            with pytest.raises(ValueError):
+                enumerate_paths(s, prefix)
+
     def test_mirror_is_involution(self):
         for p in enumerate_paths(4):
             assert mirror(mirror(p)) == p
