@@ -10,8 +10,11 @@ poset search (height bound, bounce return bound, valley bound, or a
 column-stripped tableau condition), and the number of avoiders of each size
 has a closed form built from bounded-height Catalan numbers, ballot numbers
 and strip-confined lattice path counts.  Both the characterizations and the
-closed counts are cross-checked against the brute-force search oracle in
-the test suite.
+closed counts are cross-checked against brute force in the test suite:
+the characterizations against the downward containment search, the closed
+counts against :func:`count_avoiders_brute`, which sweeps the up-set of the
+pattern by bounce insertions (|Av_n(q)| = C(n+1) - |Up_{n+1}(q)|) and is
+itself checked against the containment search host by host.
 
 All counting here is exact integer arithmetic.  Bounded-height counts are
 strip counts, and every strip count is one reflection-principle sum whose
@@ -21,7 +24,6 @@ terms are exact integer divisions with a zero remainder asserted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,14 +31,13 @@ from .core import (
     DyckPath,
     area_vector,
     catalan,
-    enumerate_paths,
     height,
     mirror,
     peaks,
     return_points,
     valleys,
 )
-from .poset import ResourceLimit, avoids
+from .poset import ResourceLimit, _insertion_words
 
 FAMILY_TAGS = ("te", "tg", "tor", "tv", "tf")
 
@@ -289,46 +290,38 @@ def zeta(p: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-def count_avoiders_brute(q: DyckPath, n: int, jobs: int = 1,
-                         max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> int:
-    """|Av_n(q)| by enumerating all tableaux of size n with the search oracle."""
+def check_brute_size(n: int, max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> None:
+    """Raise unless tableaux of size n are legal for brute avoider counting."""
     if n < 0:
         raise ValueError("tableau size must be >= 0")
     if n > max_size:
         raise ResourceLimit(f"brute avoider counting capped at size {max_size}")
-    if n + 1 < q.semilength:
+
+
+def count_avoiders_brute(q: DyckPath, n: int, jobs: int = 1,
+                         max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> int:
+    """|Av_n(q)| by sweeping the up-set of q through the poset.
+
+    Starting from q, each step replaces the current level by every word one
+    bounce insertion above it, until the level holds exactly the paths of
+    semilength n + 1 that contain q; the avoiders are the rest of the
+    C(n + 1) paths.  Every distinct word of every level is validated as a
+    :class:`DyckPath` once.  ``jobs`` is accepted for compatibility and no
+    longer starts processes.
+    """
+    check_brute_size(n, max_size)
+    # No path of semilength >= 1 contains the empty path: UD has no lower
+    # covers.  The sweep cannot start from the empty word, whose single
+    # insertion is UD.
+    if n + 1 < q.semilength or q.semilength == 0:
         return catalan(n + 1)
-    if jobs > 1:
-        return _count_avoiders_parallel(q, n, jobs)
-    return sum(1 for p in enumerate_paths(n + 1) if avoids(p, q))
-
-
-def _shard_prefixes(s: int, depth: int) -> list[str]:
-    seen = []
-    stack = [("U", 1, 0)]
-    while stack:
-        prefix, ups, downs = stack.pop()
-        if len(prefix) == min(depth, s) or ups == s:
-            seen.append(prefix)
-            continue
-        if ups < s:
-            stack.append((prefix + "U", ups + 1, downs))
-        if downs < ups:
-            stack.append((prefix + "D", ups, downs + 1))
-    return sorted(set(seen))
-
-
-def _count_shard(args: tuple[str, int, str]) -> int:
-    q_word, s, prefix = args
-    target = DyckPath(q_word)
-    return sum(1 for p in enumerate_paths(s, prefix) if avoids(p, target))
-
-
-def _count_avoiders_parallel(q: DyckPath, n: int, jobs: int) -> int:
-    shards = _shard_prefixes(n + 1, 4)
-    work = [(q.word, n + 1, prefix) for prefix in shards]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_shard, work))
+    level = {q.word}
+    for _ in range(n + 1 - q.semilength):
+        words: set[str] = set()
+        for word in level:
+            words |= _insertion_words(word)
+        level = {DyckPath(word).word for word in words}
+    return catalan(n + 1) - len(level)
 
 
 def count_avoiders_closed(tag: str, k: int, n: int) -> int:

@@ -41,7 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_av.add_argument("--method", default="closed",
                       choices=["brute", "closed", "both"])
     p_av.add_argument("--format", default="csv", choices=["csv", "oeis"])
-    p_av.add_argument("--jobs", type=int, default=1)
+    p_av.add_argument("--jobs", type=int, default=1,
+                      help="accepted for compatibility; brute counting runs "
+                           "in one process")
 
     p_zeta = sub.add_parser("zeta", help="apply the zeta map")
     p_zeta.add_argument("--path", required=True)
@@ -117,6 +119,12 @@ def _cmd_count_avoiders(args) -> int:
     if args.format == "oeis" and args.method == "both":
         print("error: oeis format needs a single method", file=sys.stderr)
         return 2
+    if args.method in ("brute", "both"):
+        try:
+            avoidance.check_brute_size(args.n_max)
+        except poset.ResourceLimit as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     q = avoidance.pattern(args.family, args.k)
     rows = []
     disagree = False
@@ -125,11 +133,7 @@ def _cmd_count_avoiders(args) -> int:
         if args.method in ("closed", "both"):
             closed = avoidance.count_avoiders_closed(args.family, args.k, n)
         if args.method in ("brute", "both"):
-            try:
-                brute = avoidance.count_avoiders_brute(q, n, jobs=args.jobs)
-            except poset.ResourceLimit as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            brute = avoidance.count_avoiders_brute(q, n, jobs=args.jobs)
         rows.append((n, closed, brute))
         if args.method == "both" and closed != brute:
             disagree = True

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from shipat import (
+    EMPTY_PATH,
     DyckPath,
     UnsupportedFamily,
     avoids,
@@ -34,7 +35,8 @@ from shipat.avoidance import (
     sequence_csv,
     sequence_oeis,
 )
-from shipat.poset import ResourceLimit
+from shipat import poset
+from shipat.poset import ResourceLimit, clear_containment_cache
 
 from conftest import dyck_paths
 
@@ -204,6 +206,51 @@ class TestCounting:
     def test_parallel_matches_serial(self):
         q = pattern("tg", 2)
         assert count_avoiders_brute(q, 6, jobs=2) == count_avoiders_brute(q, 6)
+
+
+def _avoiders_by_search(q, n):
+    """|Av_n(q)| host by host with the downward containment search."""
+    return sum(avoids(p, q) for p in enumerate_paths(n + 1))
+
+
+class TestBruteSweep:
+    """The up-set sweep of ``count_avoiders_brute`` against the downward
+    containment search, and the edge cases the sweep must keep."""
+
+    def test_all_small_patterns_match_search(self):
+        for s in range(1, 5):
+            for q in enumerate_paths(s):
+                for n in range(6):
+                    assert count_avoiders_brute(q, n) == \
+                        _avoiders_by_search(q, n), (q.word, n)
+
+    def test_families_match_search(self):
+        for tag in FAMILY_TAGS:
+            for k in (2, 3, 4):
+                q = pattern(tag, k)
+                for n in range(7):
+                    assert count_avoiders_brute(q, n) == \
+                        _avoiders_by_search(q, n), (tag, k, n)
+
+    def test_empty_and_unit_patterns(self):
+        unit = DyckPath("UD")
+        for n in range(7):
+            assert count_avoiders_brute(EMPTY_PATH, n) == catalan(n + 1)
+            assert count_avoiders_brute(unit, n) == 0
+
+    def test_pattern_longer_than_hosts(self):
+        q = pattern("tg", 4)
+        for n in range(q.semilength - 1):
+            assert count_avoiders_brute(q, n) == catalan(n + 1)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            count_avoiders_brute(pattern("te", 2), -1)
+
+    def test_leaves_containment_memo_alone(self):
+        clear_containment_cache()
+        count_avoiders_brute(pattern("te", 2), 6)
+        assert poset._containment_cache == {}
 
 
 def _height_bounded_counts(k, s_max):

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from shipat import avoidance
 from shipat.cli import main
 
 TV5_LINE = "1 2 5 14 42 131 413 1294 4007 12272 37277 112622 339152 1019457\n"
@@ -73,6 +74,19 @@ class TestCountAvoiders:
                                "--k", "9", "--n-max", "3", "--method", "brute")
         assert code == 0
         assert out == "n,count\n0,1\n1,2\n2,5\n3,14\n"
+
+    def test_brute_cap_fails_before_counting(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(avoidance, "count_avoiders_brute",
+                            lambda *args, **kwargs: calls.append(args))
+        for method in ("brute", "both"):
+            code, out, err = run_cli(capsys, "count-avoiders", "--family",
+                                     "te", "--k", "2", "--n-max", "13",
+                                     "--method", method)
+            assert code == 1
+            assert out == ""
+            assert err == "error: brute avoider counting capped at size 12\n"
+        assert calls == []
 
     def test_bad_k(self, capsys):
         code, _, err = run_cli(capsys, "count-avoiders", "--family", "te",
