@@ -74,6 +74,7 @@ from .avoidance import (
     avoids_characterized,
     ballot_count,
     bounded_height_count,
+    brute_avoider_counts,
     count_avoiders_brute,
     count_avoiders_closed,
     f_count,

@@ -290,38 +290,44 @@ def zeta(p: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-def check_brute_size(n: int, max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> None:
-    """Raise unless tableaux of size n are legal for brute avoider counting."""
-    if n < 0:
+def brute_avoider_counts(q: DyckPath, n_max: int,
+                         max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> list[int]:
+    """[|Av_0(q)|, ..., |Av_{n_max}(q)|] by one sweep of the up-set of q.
+
+    Starting from q, each step replaces the current level by every word one
+    bounce insertion above it, so the level of semilength n + 1 holds exactly
+    the paths of that semilength that contain q; the avoiders of size n are
+    the rest of the C(n + 1) paths.  Every distinct word of every level is
+    validated as a :class:`DyckPath` once.
+    """
+    if n_max < 0:
         raise ValueError("tableau size must be >= 0")
-    if n > max_size:
+    if n_max > max_size:
         raise ResourceLimit(f"brute avoider counting capped at size {max_size}")
+    counts = [catalan(n + 1) for n in range(n_max + 1)]
+    # No path of semilength >= 1 contains the empty path: UD has no lower
+    # covers.  The sweep cannot start from the empty word, whose single
+    # insertion is UD.
+    if q.semilength == 0:
+        return counts
+    level = {q.word}
+    for n in range(q.semilength - 1, n_max + 1):
+        counts[n] -= len(level)
+        if n < n_max:
+            words: set[str] = set()
+            for word in level:
+                words |= _insertion_words(word)
+            level = {DyckPath(word).word for word in words}
+    return counts
 
 
 def count_avoiders_brute(q: DyckPath, n: int, jobs: int = 1,
                          max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> int:
-    """|Av_n(q)| by sweeping the up-set of q through the poset.
+    """|Av_n(q)|, the last row of :func:`brute_avoider_counts`.
 
-    Starting from q, each step replaces the current level by every word one
-    bounce insertion above it, until the level holds exactly the paths of
-    semilength n + 1 that contain q; the avoiders are the rest of the
-    C(n + 1) paths.  Every distinct word of every level is validated as a
-    :class:`DyckPath` once.  ``jobs`` is accepted for compatibility and no
-    longer starts processes.
+    ``jobs`` is accepted for compatibility and starts no processes.
     """
-    check_brute_size(n, max_size)
-    # No path of semilength >= 1 contains the empty path: UD has no lower
-    # covers.  The sweep cannot start from the empty word, whose single
-    # insertion is UD.
-    if n + 1 < q.semilength or q.semilength == 0:
-        return catalan(n + 1)
-    level = {q.word}
-    for _ in range(n + 1 - q.semilength):
-        words: set[str] = set()
-        for word in level:
-            words |= _insertion_words(word)
-        level = {DyckPath(word).word for word in words}
-    return catalan(n + 1) - len(level)
+    return brute_avoider_counts(q, n, max_size)[-1]
 
 
 def count_avoiders_closed(tag: str, k: int, n: int) -> int:
@@ -377,8 +383,8 @@ class WilfReport:
 def wilf_check(tag_a: str, tag_b: str, k: int, n_max: int) -> WilfReport:
     """Tabulate brute counts of two families for n = 0..n_max."""
     qa, qb = pattern(tag_a, k), pattern(tag_b, k)
-    counts_a = tuple(count_avoiders_brute(qa, n) for n in range(n_max + 1))
-    counts_b = tuple(count_avoiders_brute(qb, n) for n in range(n_max + 1))
+    counts_a = tuple(brute_avoider_counts(qa, n_max))
+    counts_b = tuple(brute_avoider_counts(qb, n_max))
     return WilfReport(tag_a, tag_b, k, counts_a, counts_b)
 
 

@@ -11,6 +11,10 @@ Subcommands expose the library with deterministic, scriptable output:
 
 Exit codes: 0 success, 1 check or resource failure, 2 usage or parse error,
 3 method disagreement in ``both`` mode.
+
+Each command imports only what it runs: :mod:`shipat.verify` is imported by
+``verify`` alone, and its process pool only for ``verify --jobs N`` with
+N > 1, so a cold process for any other command loads neither.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import avoidance, covers, poset, verify
+from . import avoidance, covers, poset
 from .core import ShiTableau, parse_path, region_inequalities
 
 
@@ -121,36 +125,24 @@ def _cmd_count_avoiders(args) -> int:
         return 2
     if args.method in ("brute", "both"):
         try:
-            avoidance.check_brute_size(args.n_max)
+            brute = avoidance.brute_avoider_counts(
+                avoidance.pattern(args.family, args.k), args.n_max)
         except poset.ResourceLimit as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    q = avoidance.pattern(args.family, args.k)
-    rows = []
-    disagree = False
-    for n in range(args.n_max + 1):
-        closed = brute = None
-        if args.method in ("closed", "both"):
-            closed = avoidance.count_avoiders_closed(args.family, args.k, n)
-        if args.method in ("brute", "both"):
-            brute = avoidance.count_avoiders_brute(q, n, jobs=args.jobs)
-        rows.append((n, closed, brute))
-        if args.method == "both" and closed != brute:
-            disagree = True
-    if args.format == "oeis":
-        counts = [closed if args.method == "closed" else brute
-                  for _, closed, brute in rows]
-        sys.stdout.write(avoidance.sequence_oeis(counts))
-        return 0
+    if args.method in ("closed", "both"):
+        closed = [avoidance.count_avoiders_closed(args.family, args.k, n)
+                  for n in range(args.n_max + 1)]
     if args.method == "both":
         print("n,count,count_brute,agree")
-        for n, closed, brute in rows:
-            status = "AGREE" if closed == brute else "DISAGREE"
-            print(f"{n},{closed},{brute},{status}")
-        return 3 if disagree else 0
-    print("n,count")
-    for n, closed, brute in rows:
-        print(f"{n},{closed if args.method == 'closed' else brute}")
+        for n, (c, b) in enumerate(zip(closed, brute)):
+            print(f"{n},{c},{b},{'AGREE' if c == b else 'DISAGREE'}")
+        return 0 if closed == brute else 3
+    counts = closed if args.method == "closed" else brute
+    if args.format == "oeis":
+        sys.stdout.write(avoidance.sequence_oeis(counts))
+    else:
+        sys.stdout.write(avoidance.sequence_csv(counts))
     return 0
 
 
@@ -195,6 +187,8 @@ def _cmd_verify(args) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    from . import verify  # here, not at the top: see the module docstring
+
     results = verify.run_suite(args.suite, n_max=args.n_max, jobs=args.jobs)
     for result in results:
         print(result.line())

@@ -170,24 +170,22 @@ def cover_collisions(p: DyckPath) -> dict[DyckPath, list[Deletion]]:
     return {DyckPath(word): ds for word, ds in hits.items() if len(ds) > 1}
 
 
-def _insertions(p: DyckPath) -> Iterator[tuple[DyckPath, int, int]]:
-    """All words made by inserting one U and one D, with the new step indices.
+def _insertions(p: DyckPath) -> Iterator[DyckPath]:
+    """Every path made by inserting one U and one D anywhere in p.
 
-    Yields (q, i, k) where the inserted U is the i-th U of q and the inserted
-    D is the k-th D of q; invalid words are skipped.  This tries all
-    O(s^2) insertion pairs and is kept only for the independent oracle
-    :func:`upper_covers_by_search`.
+    Tries all O(s^2) insertion pairs and yields the path of every word that
+    the validating constructor accepts; the same path may come from several
+    pairs.  Kept only for the independent oracle
+    :func:`upper_covers_by_search`, so it shares nothing with
+    :func:`_insertion_words`.
     """
     word = p.word
     n = len(word)
     for u_spot in range(n + 1):
         with_u = word[:u_spot] + "U" + word[u_spot:]
-        i = with_u[:u_spot].count("U") + 1
         for d_spot in range(n + 2):
-            q_word = with_u[:d_spot] + "D" + with_u[d_spot:]
-            k = with_u[:d_spot].count("D") + 1
             try:
-                yield DyckPath(q_word), i, k
+                yield DyckPath(with_u[:d_spot] + "D" + with_u[d_spot:])
             except ValueError:
                 continue
 
@@ -211,7 +209,7 @@ def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
     Independent of the insertion-index reasoning in :func:`upper_covers`;
     used to cross-check it.
     """
-    candidates = {q for q, _, _ in _insertions(p)}
+    candidates = set(_insertions(p))
     return frozenset(q for q in candidates if p in lower_covers(q))
 
 

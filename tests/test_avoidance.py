@@ -12,6 +12,7 @@ from shipat import (
     avoids_characterized,
     ballot_count,
     bounded_height_count,
+    brute_avoider_counts,
     catalan,
     count_avoiders_brute,
     count_avoiders_closed,
@@ -246,6 +247,19 @@ class TestBruteSweep:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             count_avoiders_brute(pattern("te", 2), -1)
+
+    def test_one_sweep_gives_every_row(self):
+        patterns = [q for s in range(5) for q in enumerate_paths(s)]
+        patterns += [pattern(tag, k) for tag in FAMILY_TAGS for k in (2, 3, 4)]
+        for q in patterns:
+            assert brute_avoider_counts(q, 7) == \
+                [count_avoiders_brute(q, n) for n in range(8)], q.word
+
+    def test_rows_keep_the_size_errors(self):
+        with pytest.raises(ValueError):
+            brute_avoider_counts(pattern("te", 2), -1)
+        with pytest.raises(ResourceLimit):
+            brute_avoider_counts(pattern("te", 2), 13)
 
     def test_leaves_containment_memo_alone(self):
         clear_containment_cache()

@@ -88,6 +88,16 @@ class TestCountAvoiders:
             assert err == "error: brute avoider counting capped at size 12\n"
         assert calls == []
 
+    def test_both_cap_fails_before_closed_rows(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(avoidance, "count_avoiders_closed",
+                            lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "count-avoiders", "--family", "te",
+                                 "--k", "2", "--n-max", "13",
+                                 "--method", "both")
+        assert (code, out, calls) == (1, "", [])
+        assert err == "error: brute avoider counting capped at size 12\n"
+
     def test_bad_k(self, capsys):
         code, _, err = run_cli(capsys, "count-avoiders", "--family", "te",
                                "--k", "1", "--n-max", "3")
@@ -138,6 +148,13 @@ class TestOthers:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_verify_pool_same_stdout(self, capsys):
+        argv = ["verify", "--suite", "core", "--n-max", "4", "--jobs"]
+        code_1, out_1, _ = run_cli(capsys, *argv, "1")
+        code_2, out_2, _ = run_cli(capsys, *argv, "2")
+        assert code_1 == code_2 == 0
+        assert out_2 == out_1
+
     def test_determinism(self, capsys):
         outputs = set()
         for _ in range(2):
@@ -168,3 +185,41 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "UUDD\n"
+
+
+HEAVY = ("concurrent.futures", "multiprocessing", "shipat.verify")
+
+# Runs one command through cli.main in a fresh interpreter, then prints its
+# exit code and which of the HEAVY modules the process has loaded.
+COLD_PROBE = f"""
+import sys
+from shipat import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *(name for name in {HEAVY!r} if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    pytest.param(["covers", "--path", "UUDUDD", "--dir", "lower",
+                  "--method", "both"], 0, [], id="covers"),
+    pytest.param(["count-avoiders", "--family", "te", "--k", "2",
+                  "--n-max", "5", "--method", "both"], 0, [],
+                 id="count-avoiders"),
+    pytest.param(["zeta", "--path", "UDUDUD"], 0, [], id="zeta"),
+    pytest.param(["poset", "--max-size", "3"], 0, [], id="poset"),
+    pytest.param(["region", "--area", "0,0,1"], 0, [], id="region"),
+    pytest.param(["covers", "--path", "UDDU", "--dir", "lower"], 2, [],
+                 id="misuse"),
+    pytest.param(["verify", "--suite", "core", "--n-max", "3",
+                  "--jobs", "1"], 0, ["shipat.verify"], id="verify-jobs-1"),
+    pytest.param(["verify", "--suite", "core", "--n-max", "3",
+                  "--jobs", "2"], 0, list(HEAVY), id="verify-jobs-2"),
+])
+def test_cold_start_loads_only_what_the_command_runs(argv, code, loaded):
+    proc = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == [str(code), *loaded]
