@@ -12,7 +12,6 @@ from shipat import (
     audit_cover_counts,
     bounce_delete,
     classify_branch,
-    compose,
     compose_inside,
     contains_pattern,
     count_lower_covers,
@@ -53,7 +52,7 @@ for word in ["UDUDUD", "UUUDDD", "UUDUDD", "UUUDUDDD", "UUUUDDUDDD", "UUDDUD"]:
 # level and at height one.
 pi1 = parse_path("UUUUDDUDDD")
 pi2 = parse_path("UUUUDUDDDD")
-plain = compose(pi1, pi2)
+plain = pi1.concat(pi2)
 raised = compose_inside(pi1, pi2)
 print("\n|UC| of the parts:", count_upper_covers(pi1), count_upper_covers(pi2))
 print("|UC| of", plain.word, "=", count_upper_covers(plain))

@@ -55,6 +55,7 @@ from .poset import (
     export_dot,
     hasse,
     lower_covers,
+    up_set,
     upper_covers,
     upper_covers_by_search,
 )
@@ -62,7 +63,6 @@ from .covers import (
     audit_cover_counts,
     classify_branch,
     column_subpath_ucount,
-    compose,
     compose_inside,
     count_lower_covers,
     count_upper_covers,

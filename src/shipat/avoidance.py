@@ -11,10 +11,11 @@ column-stripped tableau condition), and the number of avoiders of each size
 has a closed form built from bounded-height Catalan numbers, ballot numbers
 and strip-confined lattice path counts.  Both the characterizations and the
 closed counts are cross-checked against brute force in the test suite:
-the characterizations against the downward containment search, the closed
-counts against :func:`count_avoiders_brute`, which sweeps the up-set of the
-pattern by bounce insertions (|Av_n(q)| = C(n+1) - |Up_{n+1}(q)|) and is
-itself checked against the containment search host by host.
+the characterizations against the downward containment search and the
+up-set of each pattern (:func:`~shipat.poset.up_set`), the closed counts
+against :func:`count_avoiders_brute`, which reads |Av_n(q)| = C(n+1) -
+|Up_{n+1}(q)| off that up-set; the up-set is itself checked against the
+containment search host by host.
 
 All counting here is exact integer arithmetic.  Bounded-height counts are
 strip counts, and every strip count is one reflection-principle sum whose
@@ -37,7 +38,7 @@ from .core import (
     return_points,
     valleys,
 )
-from .poset import ResourceLimit, _insertion_words
+from .poset import ResourceLimit, up_set
 
 FAMILY_TAGS = ("te", "tg", "tor", "tv", "tf")
 
@@ -294,39 +295,21 @@ def brute_avoider_counts(q: DyckPath, n_max: int,
                          max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> list[int]:
     """[|Av_0(q)|, ..., |Av_{n_max}(q)|] by one sweep of the up-set of q.
 
-    Starting from q, each step replaces the current level by every word one
-    bounce insertion above it, so the level of semilength n + 1 holds exactly
-    the paths of that semilength that contain q; the avoiders of size n are
-    the rest of the C(n + 1) paths.  Every distinct word of every level is
-    validated as a :class:`DyckPath` once.
+    The level of semilength n + 1 of :func:`~shipat.poset.up_set` holds
+    exactly the paths of that semilength that contain q; the avoiders of
+    size n are the rest of the C(n + 1) paths.
     """
     if n_max < 0:
         raise ValueError("tableau size must be >= 0")
     if n_max > max_size:
         raise ResourceLimit(f"brute avoider counting capped at size {max_size}")
-    counts = [catalan(n + 1) for n in range(n_max + 1)]
-    # No path of semilength >= 1 contains the empty path: UD has no lower
-    # covers.  The sweep cannot start from the empty word, whose single
-    # insertion is UD.
-    if q.semilength == 0:
-        return counts
-    level = {q.word}
-    for n in range(q.semilength - 1, n_max + 1):
-        counts[n] -= len(level)
-        if n < n_max:
-            words: set[str] = set()
-            for word in level:
-                words |= _insertion_words(word)
-            level = {DyckPath(word).word for word in words}
-    return counts
+    levels = up_set(q, n_max + 1)
+    return [catalan(n + 1) - len(levels[n + 1]) for n in range(n_max + 1)]
 
 
-def count_avoiders_brute(q: DyckPath, n: int, jobs: int = 1,
+def count_avoiders_brute(q: DyckPath, n: int,
                          max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> int:
-    """|Av_n(q)|, the last row of :func:`brute_avoider_counts`.
-
-    ``jobs`` is accepted for compatibility and starts no processes.
-    """
+    """|Av_n(q)|, the last row of :func:`brute_avoider_counts`."""
     return brute_avoider_counts(q, n, max_size)[-1]
 
 

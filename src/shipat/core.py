@@ -23,6 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -215,10 +216,14 @@ class ShiTableau:
 
 def area_vector(p: DyckPath) -> tuple[int, ...]:
     """Area vector of a path: a_i = (i - 1) - #D before the i-th U step."""
+    return _word_area_vector(p.word)
+
+
+def _word_area_vector(word: str) -> tuple[int, ...]:
     out = []
     downs = 0
     i = 0
-    for char in p.word:
+    for char in word:
         if char == "U":
             i += 1
             out.append(i - 1 - downs)
@@ -320,9 +325,13 @@ def syt_to_path(s: StandardTableau2) -> DyckPath:
 
 def height(p: DyckPath) -> int:
     """Maximal prefix height of the path (0 for the empty path)."""
+    return _word_height(p.word)
+
+
+def _word_height(word: str) -> int:
     best = 0
     h = 0
-    for char in p.word:
+    for char in word:
         h += 1 if char == "U" else -1
         if h > best:
             best = h
@@ -423,14 +432,11 @@ class RunForm:
         return DyckPath("".join(chunks))
 
 
+_RUNS = re.compile("U+|D+")  # the maximal runs of equal steps of a word
+
+
 def run_form(p: DyckPath) -> RunForm:
-    runs = []
-    for char in p.word:
-        if runs and (char == "U") == (len(runs) % 2 == 1):
-            runs[-1] += 1
-        else:
-            runs.append(1)
-    return RunForm(tuple(runs))
+    return RunForm(tuple(map(len, _RUNS.findall(p.word))))
 
 
 def is_irreducible(p: DyckPath) -> bool:

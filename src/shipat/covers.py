@@ -219,13 +219,8 @@ def count_upper_covers(p: DyckPath) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Composition helpers (the worked-example gluings)
+# The raised gluing of the worked example
 # ---------------------------------------------------------------------------
-
-
-def compose(x: DyckPath, y: DyckPath) -> DyckPath:
-    """Ground-level concatenation x + y."""
-    return x.concat(y)
 
 
 def compose_inside(x: DyckPath, y: DyckPath) -> DyckPath:

@@ -6,34 +6,36 @@ removes the i-th U step together with the i-th D step, and
 step.  A path covers every result of a single bounce deletion; iterating
 deletions gives the pattern order (q occurs in p iff q is reachable from p).
 
-All cover generation goes through one word kernel: the U and D step
-positions are computed once per path, every deletion child is cut out of
-the word by slicing, and bounce insertions are enumerated directly, placing
-the new D only where it becomes D_{i-1} or D_i of the new U_i and where
-the word stays a Dyck word.  Each child word is built once, collected in a
-set, and only then turned into a (validated) :class:`DyckPath`, so a cover
-set of a path of semilength s costs O(s) per candidate child instead of a
-search over all O(s^2) insertion pairs.  :func:`upper_covers_by_search`
-keeps that all-pairs search as the independent oracle.
+All cover generation goes through one word kernel: each deletion child is
+cut out of the word once per pair of step runs, and bounce insertions are
+enumerated directly, placing the new D only where it becomes D_{i-1} or D_i
+of the new U_i and where the word stays a Dyck word.  Child words are
+collected in a set and only then turned into (validated) :class:`DyckPath`
+values, so a cover set costs O(s) per candidate child instead of a search
+over all O(s^2) insertion pairs; :func:`upper_covers_by_search` keeps that
+search as the independent oracle.
 
-Cover enumeration is pure; the containment search keeps a module-level memo
-keyed by canonical words that is shared across queries.  All values handled
-here are immutable, so the cache races (if any) are benign last-write-wins
-on identical results.
+Containment has two stateless routes on the same kernel: a downward search
+from the host over deletion words (:func:`contains_pattern`), and the
+up-set of a pattern swept level by level by bounce insertions
+(:func:`up_set`), which answers every host of a semilength at once.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .core import (
     DyckPath,
-    area_vector,
+    _RUNS,
+    _validate_word,
+    _word_area_vector,
+    _word_height,
     catalan,
     enumerate_paths,
-    height,
 )
 
 
@@ -82,16 +84,6 @@ def _drop_two(word: str, a: int, b: int) -> str:
     if a > b:
         a, b = b, a
     return word[:a] + word[a + 1:b] + word[b + 1:]
-
-
-def _deletion_words(word: str) -> Iterator[tuple[int, int, str]]:
-    """(i, k, result) for every bounce deletion delta(i, k) of a word of
-    semilength >= 2, in the order of :func:`deletions`."""
-    ups, downs = _step_positions(word)
-    for i, u in enumerate(ups, start=1):
-        if i >= 2:
-            yield i, i - 1, _drop_two(word, u, downs[i - 2])
-        yield i, i, _drop_two(word, u, downs[i - 1])
 
 
 def _insertion_words(word: str) -> set[str]:
@@ -154,20 +146,45 @@ def deletions(p: DyckPath) -> Iterator[Deletion]:
         yield Deletion(i, i)
 
 
+def _lower_cover_words(word: str) -> set[str]:
+    """Distinct words one bounce deletion below ``word`` (none below
+    semilength 2), each cut out once: dropping a step gives the same word
+    wherever it sits in its run, so a child is a pair of runs, cut out by
+    dropping the first step of each.  The ascent run U_a..U_b pairs with
+    D_{a-1}..D_b (D_1..D_b if a = 1), a consecutive range of descent runs.
+    """
+    if len(word) < 4:
+        return set()
+    lens = list(map(len, _RUNS.findall(word)))  # ascent, descent, ascent, ...
+    starts = [0, *accumulate(lens)]
+    out: set[str] = set()
+    b = 0  # U steps before the ascent run
+    r, d_end = 1, lens[1]  # descent run r ends at D_{d_end}
+    for j in range(0, len(lens), 2):
+        while d_end < b:
+            r += 2
+            d_end += lens[r]
+        b += lens[j]
+        t, d_before = r, d_end - lens[r]
+        while d_before < b:
+            out.add(_drop_two(word, starts[j], starts[t]))
+            d_before += lens[t]
+            t += 2
+    return out
+
+
 def lower_covers(p: DyckPath) -> frozenset[DyckPath]:
     """Distinct results of all bounce deletions (empty for semilength <= 1)."""
-    if p.semilength < 2:
-        return frozenset()
-    return frozenset(map(DyckPath, {w for _, _, w in _deletion_words(p.word)}))
+    return frozenset(map(DyckPath, _lower_cover_words(p.word)))
 
 
 def cover_collisions(p: DyckPath) -> dict[DyckPath, list[Deletion]]:
     """Children that arise from more than one deletion, with the witnesses."""
-    hits: dict[str, list[Deletion]] = {}
+    hits: dict[DyckPath, list[Deletion]] = {}
     if p.semilength >= 2:
-        for i, k, word in _deletion_words(p.word):
-            hits.setdefault(word, []).append(Deletion(i, k))
-    return {DyckPath(word): ds for word, ds in hits.items() if len(ds) > 1}
+        for d in deletions(p):
+            hits.setdefault(bounce_delete(p, d), []).append(d)
+    return {child: ds for child, ds in hits.items() if len(ds) > 1}
 
 
 def _insertions(p: DyckPath) -> Iterator[DyckPath]:
@@ -210,52 +227,44 @@ def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
     used to cross-check it.
     """
     candidates = set(_insertions(p))
-    return frozenset(q for q in candidates if p in lower_covers(q))
+    return frozenset(q for q in candidates
+                     if p.word in _lower_cover_words(q.word))
 
 
 # ---------------------------------------------------------------------------
 # Pattern containment
 # ---------------------------------------------------------------------------
 
-_containment_cache: dict[tuple[str, str], bool] = {}
 
-
-def clear_containment_cache() -> None:
-    _containment_cache.clear()
-
-
-def _area_total(p: DyckPath) -> int:
-    return sum(area_vector(p))
+def _reaches(host: str, target: str, prune: bool) -> bool:
+    """Depth-first search for ``target`` below ``host``; with ``prune``, a
+    word other than the target is not expanded once its semilength is at
+    most the target's or its height or total area is below the target's."""
+    target_h = _word_height(target)
+    target_area = sum(_word_area_vector(target))
+    seen, stack = {host}, [host]
+    while stack:
+        word = stack.pop()
+        if word == target:
+            return True
+        if prune and (len(word) <= len(target)
+                      or _word_height(word) < target_h
+                      or sum(_word_area_vector(word)) < target_area):
+            continue
+        for child in _lower_cover_words(word) - seen:
+            seen.add(child)
+            stack.append(child)
+    return False
 
 
 def contains_pattern(p: DyckPath, q: DyckPath) -> bool:
     """True iff q is reachable from p by repeated bounce deletions.
 
-    Reflexive by convention (zero deletions).  The search goes downward from
-    p with memoization on the current path and prunes on semilength, height
-    and total area, none of which a bounce deletion can increase.
+    Reflexive by convention (zero deletions).  An iterative search downward
+    from p over words, which keeps no state between calls and prunes on
+    semilength, height and total area: no bounce deletion increases them.
     """
-    target_s = q.semilength
-    target_h = height(q)
-    target_area = _area_total(q)
-    q_word = q.word
-
-    def search(current: DyckPath) -> bool:
-        if current.word == q_word:
-            return True
-        if current.semilength <= target_s:
-            return False
-        if height(current) < target_h or _area_total(current) < target_area:
-            return False
-        key = (current.word, q_word)
-        cached = _containment_cache.get(key)
-        if cached is not None:
-            return cached
-        result = any(search(child) for child in lower_covers(current))
-        _containment_cache[key] = result
-        return result
-
-    return search(p)
+    return _reaches(p.word, q.word, prune=True)
 
 
 def avoids(p: DyckPath, q: DyckPath) -> bool:
@@ -264,17 +273,27 @@ def avoids(p: DyckPath, q: DyckPath) -> bool:
 
 def contains_pattern_noprune(p: DyckPath, q: DyckPath) -> bool:
     """Reference containment search without pruning (for soundness tests)."""
-    seen: set[str] = set()
+    return _reaches(p.word, q.word, prune=False)
 
-    def search(current: DyckPath) -> bool:
-        if current.word == q.word:
-            return True
-        if current.word in seen:
-            return False
-        seen.add(current.word)
-        return any(search(child) for child in lower_covers(current))
 
-    return search(p)
+def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
+    """The up-set of q by levels: entry s holds the words of semilength s
+    that contain q, for s = 0..s_max.
+
+    Each level above q is every word one bounce insertion above the level
+    before.  Every distinct word of every level is validated once.
+    """
+    levels: list[frozenset[str]] = [frozenset()] * (s_max + 1)
+    if q.semilength <= s_max:
+        levels[q.semilength] = frozenset({q.word})
+    # No path of semilength >= 1 contains the empty path: UD has no lower
+    # covers, although the single insertion into the empty word is UD.
+    for s in range(q.semilength + 1, s_max + 1 if q.word else 0):
+        words = set().union(*map(_insertion_words, levels[s - 1]))
+        for word in words:
+            _validate_word(word)
+        levels[s] = frozenset(words)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from shipat.avoidance import (
     sequence_csv,
     sequence_oeis,
 )
-from shipat import poset
-from shipat.poset import ResourceLimit, clear_containment_cache
+from shipat import avoidance, poset
+from shipat.poset import ResourceLimit, contains_pattern, up_set
 
 from conftest import dyck_paths
 
@@ -204,10 +204,6 @@ class TestCounting:
                     assert count_avoiders_closed(tag, k, n) == \
                         count_avoiders_brute(pattern(tag, k), n), (tag, k, n)
 
-    def test_parallel_matches_serial(self):
-        q = pattern("tg", 2)
-        assert count_avoiders_brute(q, 6, jobs=2) == count_avoiders_brute(q, 6)
-
 
 def _avoiders_by_search(q, n):
     """|Av_n(q)| host by host with the downward containment search."""
@@ -215,15 +211,20 @@ def _avoiders_by_search(q, n):
 
 
 class TestBruteSweep:
-    """The up-set sweep of ``count_avoiders_brute`` against the downward
-    containment search, and the edge cases the sweep must keep."""
+    """The up-set sweep (``up_set`` and the avoider counts read off it)
+    against the downward containment search, and the edge cases the sweep
+    must keep."""
 
     def test_all_small_patterns_match_search(self):
-        for s in range(1, 5):
+        hosts = [list(enumerate_paths(t)) for t in range(8)]
+        for s in range(5):
             for q in enumerate_paths(s):
-                for n in range(6):
-                    assert count_avoiders_brute(q, n) == \
-                        _avoiders_by_search(q, n), (q.word, n)
+                levels = up_set(q, 7)
+                for t, level in enumerate(levels):
+                    assert level == {p.word for p in hosts[t]
+                                     if contains_pattern(p, q)}, (q.word, t)
+                assert brute_avoider_counts(q, 6) == [
+                    catalan(n + 1) - len(levels[n + 1]) for n in range(7)], q.word
 
     def test_families_match_search(self):
         for tag in FAMILY_TAGS:
@@ -261,10 +262,18 @@ class TestBruteSweep:
         with pytest.raises(ResourceLimit):
             brute_avoider_counts(pattern("te", 2), 13)
 
-    def test_leaves_containment_memo_alone(self):
-        clear_containment_cache()
-        count_avoiders_brute(pattern("te", 2), 6)
-        assert poset._containment_cache == {}
+    def test_no_module_state_and_order_free_answers(self):
+        for module in (poset, avoidance):
+            assert not [name for name, value in vars(module).items()
+                        if not name.startswith("__")
+                        and (isinstance(value, (dict, list, set))
+                             or hasattr(value, "cache_info"))], module.__name__
+        paths = [p for s in range(1, 6) for p in enumerate_paths(s)]
+        pairs = [(p, q) for p in paths[::3] for q in paths[::5]]
+        forward = [contains_pattern(p, q) for p, q in pairs]
+        backward = [contains_pattern(p, q) for p, q in reversed(pairs)]
+        assert forward == backward[::-1]
+        assert True in forward and False in forward
 
 
 def _height_bounded_counts(k, s_max):

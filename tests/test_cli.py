@@ -77,7 +77,7 @@ class TestCountAvoiders:
 
     def test_brute_cap_fails_before_counting(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(avoidance, "count_avoiders_brute",
+        monkeypatch.setattr(avoidance, "up_set",
                             lambda *args, **kwargs: calls.append(args))
         for method in ("brute", "both"):
             code, out, err = run_cli(capsys, "count-avoiders", "--family",

@@ -5,7 +5,6 @@ from shipat import (
     audit_cover_counts,
     classify_branch,
     column_subpath_ucount,
-    compose,
     compose_inside,
     count_lower_covers,
     count_upper_covers,
@@ -83,7 +82,7 @@ class TestWorkedExample:
         assert count_upper_covers(self.pi2) == len(upper_covers(self.pi2)) == 10
 
     def test_concatenation(self):
-        glued = compose(self.pi1, self.pi2)
+        glued = self.pi1.concat(self.pi2)
         assert count_upper_covers(glued) == len(upper_covers(glued)) == 32
 
     def test_raised_gluing(self):

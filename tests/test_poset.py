@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from shipat import (
     Deletion,
     DyckPath,
+    EMPTY_PATH,
     IndexOutOfRange,
     ResourceLimit,
     avoids,
@@ -17,6 +18,7 @@ from shipat import (
     hasse,
     lower_covers,
     parse_path,
+    up_set,
     upper_covers,
     upper_covers_by_search,
 )
@@ -172,6 +174,15 @@ class TestContainment:
     def test_avoids_negation(self):
         p, q = parse_path("UDUDUD"), parse_path("UUDD")
         assert avoids(p, q) and not contains_pattern(p, q)
+
+    def test_deep_host_has_no_recursion_limit(self):
+        pyramid = DyckPath("U" * 1500 + "D" * 1500)
+        assert contains_pattern(pyramid, parse_path("UUDD"))
+
+    def test_empty_path_is_contained_only_in_itself(self):
+        assert contains_pattern(EMPTY_PATH, EMPTY_PATH)
+        assert not contains_pattern(parse_path("UD"), EMPTY_PATH)
+        assert up_set(EMPTY_PATH, 3) == [{""}, set(), set(), set()]
 
     def test_pruned_matches_unpruned(self):
         paths = [p for s in range(1, 6) for p in enumerate_paths(s)]
