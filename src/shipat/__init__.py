@@ -45,7 +45,6 @@ from .poset import (
     Deletion,
     HasseGraph,
     IndexOutOfRange,
-    InvalidDeletion,
     ResourceLimit,
     avoids,
     bounce_delete,

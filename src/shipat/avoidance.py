@@ -49,6 +49,14 @@ class UnsupportedFamily(ValueError):
     """A family tag outside te/tg/tor/tv/tf."""
 
 
+def _check_family(tag: str, k: int) -> None:
+    """Reject a tag outside :data:`FAMILY_TAGS`, then a size k below 2."""
+    if tag not in FAMILY_TAGS:
+        raise UnsupportedFamily(f"unknown family {tag!r}")
+    if k < 2:
+        raise ValueError("family size k must be >= 2")
+
+
 @dataclass(frozen=True)
 class PatternFamily:
     """One of the five pattern families, at size k >= 2."""
@@ -57,10 +65,7 @@ class PatternFamily:
     k: int
 
     def __post_init__(self) -> None:
-        if self.tag not in FAMILY_TAGS:
-            raise UnsupportedFamily(f"unknown family {self.tag!r}")
-        if self.k < 2:
-            raise ValueError("family size k must be >= 2")
+        _check_family(self.tag, self.k)
 
     def path(self) -> DyckPath:
         return pattern(self.tag, self.k)
@@ -68,8 +73,7 @@ class PatternFamily:
 
 def pattern(tag: str, k: int) -> DyckPath:
     """The pattern of the given family and size, a path of semilength k + 1."""
-    if k < 2:
-        raise ValueError("family size k must be >= 2")
+    _check_family(tag, k)
     words = {
         "te": "U" * (k + 1) + "D" * (k + 1),
         "tg": "U" * k + "DU" + "D" * k,
@@ -77,8 +81,6 @@ def pattern(tag: str, k: int) -> DyckPath:
         "tv": "UD" + "U" * k + "D" * k,
         "tf": "UD" * (k + 1),
     }
-    if tag not in words:
-        raise UnsupportedFamily(f"unknown family {tag!r}")
     return DyckPath(words[tag])
 
 
@@ -109,10 +111,7 @@ def _stripped_height(p: DyckPath) -> int:
 
 def avoids_characterized(p: DyckPath, tag: str, k: int) -> bool:
     """Family avoidance decided structurally, without any poset search."""
-    if tag not in FAMILY_TAGS:
-        raise UnsupportedFamily(f"unknown family {tag!r}")
-    if k < 2:
-        raise ValueError("family size k must be >= 2")
+    _check_family(tag, k)
     if tag == "te":
         return height(p) <= k
     if tag == "tf":
@@ -291,26 +290,26 @@ def zeta(p: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-def brute_avoider_counts(q: DyckPath, n_max: int,
-                         max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> list[int]:
+def brute_avoider_counts(q: DyckPath, n_max: int) -> list[int]:
     """[|Av_0(q)|, ..., |Av_{n_max}(q)|] by one sweep of the up-set of q.
 
     The level of semilength n + 1 of :func:`~shipat.poset.up_set` holds
     exactly the paths of that semilength that contain q; the avoiders of
-    size n are the rest of the C(n + 1) paths.
+    size n are the rest of the C(n + 1) paths.  Sizes above
+    :data:`BRUTE_MAX_TABLEAU_SIZE` raise :class:`~shipat.poset.ResourceLimit`.
     """
     if n_max < 0:
         raise ValueError("tableau size must be >= 0")
-    if n_max > max_size:
-        raise ResourceLimit(f"brute avoider counting capped at size {max_size}")
+    if n_max > BRUTE_MAX_TABLEAU_SIZE:
+        raise ResourceLimit("brute avoider counting capped at size "
+                            f"{BRUTE_MAX_TABLEAU_SIZE}")
     levels = up_set(q, n_max + 1)
     return [catalan(n + 1) - len(levels[n + 1]) for n in range(n_max + 1)]
 
 
-def count_avoiders_brute(q: DyckPath, n: int,
-                         max_size: int = BRUTE_MAX_TABLEAU_SIZE) -> int:
+def count_avoiders_brute(q: DyckPath, n: int) -> int:
     """|Av_n(q)|, the last row of :func:`brute_avoider_counts`."""
-    return brute_avoider_counts(q, n, max_size)[-1]
+    return brute_avoider_counts(q, n)[-1]
 
 
 def count_avoiders_closed(tag: str, k: int, n: int) -> int:
@@ -323,10 +322,7 @@ def count_avoiders_closed(tag: str, k: int, n: int) -> int:
     tg sits in the tv/tor Wilf class instead, with C(n+1, 2) + 1 avoiders,
     which is what the tv formula evaluates to there.
     """
-    if tag not in FAMILY_TAGS:
-        raise UnsupportedFamily(f"unknown family {tag!r}")
-    if k < 2:
-        raise ValueError("family size k must be >= 2")
+    _check_family(tag, k)
     if n < 0:
         raise ValueError("tableau size must be >= 0")
     if tag in ("te", "tf") or (tag == "tg" and k >= 3):

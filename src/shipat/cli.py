@@ -10,7 +10,11 @@ Subcommands expose the library with deterministic, scriptable output:
     shipat verify --suite all --n-max 7
 
 Exit codes: 0 success, 1 check or resource failure, 2 usage or parse error,
-3 method disagreement in ``both`` mode.
+3 method disagreement in ``both`` mode.  Command handlers raise instead of
+reporting: :func:`main` alone decides exit codes, printing ``error: <message>``
+to stderr and returning 1 for :class:`~shipat.poset.ResourceLimit` or a
+failed ``verify`` check and 2 for ``ValueError``, the type of every parse,
+family, size and flag error.
 
 Each command imports only what it runs: :mod:`shipat.verify` is imported by
 ``verify`` alone, and its process pool only for ``verify --jobs N`` with
@@ -70,24 +74,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _CheckFailed(Exception):
+    """Some ``verify`` check failed; its lines are already on stdout."""
+
+
 def _cmd_covers(args) -> int:
-    try:
-        path = parse_path(args.path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    path = parse_path(args.path)
     brute_set = closed = None
     if args.method in ("brute", "both"):
         brute_set = sorted(
             q.word for q in (poset.lower_covers(path) if args.dir == "lower"
                              else poset.upper_covers(path)))
     if args.method in ("closed", "both"):
-        try:
-            closed = (covers.count_lower_covers(path) if args.dir == "lower"
-                      else covers.count_upper_covers(path))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        closed = (covers.count_lower_covers(path) if args.dir == "lower"
+                  else covers.count_upper_covers(path))
     if args.method == "brute":
         for word in brute_set:
             print(word)
@@ -103,33 +103,23 @@ def _cmd_covers(args) -> int:
     return 0
 
 
-def _range_error(args) -> str | None:
-    """The usage error of a negative ``--n-max`` or a ``--jobs`` below 1."""
+def _check_ranges(args) -> None:
+    """Reject a negative ``--n-max`` or a ``--jobs`` below 1."""
     if args.n_max < 0:
-        return "--n-max must be >= 0"
+        raise ValueError("--n-max must be >= 0")
     if args.jobs < 1:
-        return "--jobs must be >= 1"
-    return None
+        raise ValueError("--jobs must be >= 1")
 
 
 def _cmd_count_avoiders(args) -> int:
     if args.k < 2:
-        print("error: --k must be >= 2", file=sys.stderr)
-        return 2
-    error = _range_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ValueError("--k must be >= 2")
+    _check_ranges(args)
     if args.format == "oeis" and args.method == "both":
-        print("error: oeis format needs a single method", file=sys.stderr)
-        return 2
+        raise ValueError("oeis format needs a single method")
     if args.method in ("brute", "both"):
-        try:
-            brute = avoidance.brute_avoider_counts(
-                avoidance.pattern(args.family, args.k), args.n_max)
-        except poset.ResourceLimit as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        brute = avoidance.brute_avoider_counts(
+            avoidance.pattern(args.family, args.k), args.n_max)
     if args.method in ("closed", "both"):
         closed = [avoidance.count_avoiders_closed(args.family, args.k, n)
                   for n in range(args.n_max + 1)]
@@ -147,46 +137,25 @@ def _cmd_count_avoiders(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    try:
-        path = parse_path(args.path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(avoidance.zeta(path).word)
+    print(avoidance.zeta(parse_path(args.path)).word)
     return 0
 
 
 def _cmd_poset(args) -> int:
-    try:
-        graph = poset.hasse(args.max_size, max_nodes=args.max_nodes)
-    except poset.ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph = poset.hasse(args.max_size, max_nodes=args.max_nodes)
     sys.stdout.write(poset.export_dot(graph))
     return 0
 
 
 def _cmd_region(args) -> int:
-    try:
-        area = tuple(int(chunk) for chunk in args.area.split(","))
-        tableau = ShiTableau(area)
-        lines = region_inequalities(tableau)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for line in lines:
+    area = tuple(int(chunk) for chunk in args.area.split(","))
+    for line in region_inequalities(ShiTableau(area)):
         print(line)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    error = _range_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    _check_ranges(args)
     from . import verify  # here, not at the top: see the module docstring
 
     results = verify.run_suite(args.suite, n_max=args.n_max, jobs=args.jobs)
@@ -194,21 +163,29 @@ def _cmd_verify(args) -> int:
         print(result.line())
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+    if failed:
+        raise _CheckFailed(f"{len(failed)} of {len(results)} checks failed")
+    return 0
+
+
+_HANDLERS = {
+    "covers": _cmd_covers,
+    "count-avoiders": _cmd_count_avoiders,
+    "zeta": _cmd_zeta,
+    "poset": _cmd_poset,
+    "region": _cmd_region,
+    "verify": _cmd_verify,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "covers": _cmd_covers,
-        "count-avoiders": _cmd_count_avoiders,
-        "zeta": _cmd_zeta,
-        "poset": _cmd_poset,
-        "region": _cmd_region,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    """Run one command; the only place that turns an error into an exit code."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except (poset.ResourceLimit, _CheckFailed, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

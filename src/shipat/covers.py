@@ -37,6 +37,7 @@ from .core import (
     valleys,
     CONNECTING,
     _down_step_heights,
+    _ground_factors,
 )
 from .poset import IndexOutOfRange, lower_covers, upper_covers
 
@@ -205,15 +206,9 @@ def count_upper_covers(p: DyckPath) -> int:
                       and _is_generic_strong_part(part.component))
         return _up_irred(p) + generic - 1
     # Reducible: compose the ground factors left to right.
-    factors = [part for part in irreducible_decomposition(p).parts]
-    components: list[DyckPath] = []
-    for part in factors:
-        if part.kind == CONNECTING:
-            components.extend([DyckPath("UD")] * (part.peak_count or 0))
-        else:
-            components.append(part.component)
-    total = sum(count_upper_covers(c) for c in components)
-    for left, right in zip(components, components[1:]):
+    factors = _ground_factors(p)
+    total = sum(count_upper_covers(f) for f in factors)
+    for left, right in zip(factors, factors[1:]):
         total += run_form(left).descents[-1] * run_form(right).ascents[0] - 1
     return total
 

@@ -5,6 +5,9 @@ removes the i-th U step together with the i-th D step, and
 ``delta(i, i - 1)`` removes the i-th U step together with the (i-1)-st D
 step.  A path covers every result of a single bounce deletion; iterating
 deletions gives the pattern order (q occurs in p iff q is reachable from p).
+Bounce deletion needs semilength >= 2, so UD has no lower covers and no
+path lies above the empty path in the pattern order; :func:`upper_covers`
+of the empty path still lists its single insertion, UD.
 
 All cover generation goes through one word kernel: each deletion child is
 cut out of the word once per pair of step runs, and bounce insertions are
@@ -41,15 +44,6 @@ from .core import (
 
 class IndexOutOfRange(ValueError):
     """A deletion refers to a step index the path does not have."""
-
-
-class InvalidDeletion(ValueError):
-    """A (i, i-1) deletion broke the prefix property.
-
-    Kept for contract completeness: on words this cannot actually occur
-    (between U_i and D_{i-1} every prefix height is at least 2), but results
-    are re-validated instead of assumed valid.
-    """
 
 
 class ResourceLimit(RuntimeError):
@@ -124,18 +118,19 @@ def _insertion_words(word: str) -> set[str]:
 
 
 def bounce_delete(p: DyckPath, d: Deletion) -> DyckPath:
-    """Apply one bounce deletion; the result is validated before returning."""
+    """Apply one bounce deletion.
+
+    The result is always a Dyck path: between U_i and D_{i-1} every prefix
+    height is at least 2, so no prefix dips below the diagonal.  The
+    constructor validates it all the same.
+    """
     s = p.semilength
     if s < 2:
         raise IndexOutOfRange(f"cannot delete from a path of semilength {s}")
     if not 1 <= d.i <= s:
         raise IndexOutOfRange(f"U index {d.i} outside 1..{s}")
     ups, downs = _step_positions(p.word)
-    word = _drop_two(p.word, ups[d.i - 1], downs[d.k - 1])
-    try:
-        return DyckPath(word)
-    except ValueError as exc:
-        raise InvalidDeletion(f"delta({d.i},{d.k}) of {p.word}") from exc
+    return DyckPath(_drop_two(p.word, ups[d.i - 1], downs[d.k - 1]))
 
 
 def deletions(p: DyckPath) -> Iterator[Deletion]:
@@ -216,6 +211,10 @@ def upper_covers(p: DyckPath) -> frozenset[DyckPath]:
     :func:`_insertion_words`), so the cost is O(s) per candidate cover,
     about O(s^2) for a typical path rather than O(s^3) for trying every
     insertion pair; :func:`upper_covers_by_search` is the all-pairs oracle.
+
+    Bounce deletion needs semilength >= 2, so no path lies above the empty
+    path in the pattern order; its upper covers list only its single
+    insertion, UD, which :func:`upper_covers_by_search` does not return.
     """
     return frozenset(map(DyckPath, _insertion_words(p.word)))
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import avoidance, covers, poset
 from .core import (
+    _RUNS,
     DyckPath,
     ShiTableau,
     area_vector,
@@ -217,13 +218,8 @@ def _up_irred_from_runs(p: DyckPath) -> int:
 
 def _is_zigzag_segment(segment: str) -> bool:
     """First and last runs free, every interior run of length one."""
-    runs = []
-    for char in segment:
-        if runs and runs[-1][0] == char:
-            runs[-1][1] += 1
-        else:
-            runs.append([char, 1])
-    return len(runs) >= 3 and all(r[1] == 1 for r in runs[1:-1])
+    runs = _RUNS.findall(segment)
+    return len(runs) >= 3 and all(len(run) == 1 for run in runs[1:-1])
 
 
 def classify_double_cover(p: DyckPath, d1: poset.Deletion,
@@ -237,14 +233,8 @@ def classify_double_cover(p: DyckPath, d1: poset.Deletion,
     otherwise.
     """
     word = p.word
-    run_id = []
-    rid = 0
-    for t in range(len(word)):
-        if t and word[t] != word[t - 1]:
-            rid += 1
-        run_id.append(rid)
-    ups = [i for i, c in enumerate(word) if c == "U"]
-    downs = [i for i, c in enumerate(word) if c == "D"]
+    run_id = [rid for rid, run in enumerate(_RUNS.findall(word)) for _ in run]
+    ups, downs = poset._step_positions(word)
     u1, u2 = ups[d1.i - 1], ups[d2.i - 1]
     v1, v2 = downs[d1.k - 1], downs[d2.k - 1]
     if run_id[u1] == run_id[u2] and run_id[v1] == run_id[v2]:

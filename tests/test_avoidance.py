@@ -70,6 +70,19 @@ class TestPatterns:
     def test_family_object(self):
         assert PatternFamily("te", 3).path().word == "UUUUDDDD"
 
+    def test_family_errors_agree(self):
+        # every family entry point checks the tag first, then the size
+        for tag, k, error in [("xx", 1, UnsupportedFamily),
+                              ("xx", 2, UnsupportedFamily),
+                              ("te", 1, ValueError)]:
+            for call in (lambda: pattern(tag, k),
+                         lambda: avoids_characterized(EMPTY_PATH, tag, k),
+                         lambda: count_avoiders_closed(tag, k, 3),
+                         lambda: PatternFamily(tag, k)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert info.type is error
+
 
 class TestCharacterizations:
     def test_zigzag_avoids_te(self):

@@ -155,6 +155,15 @@ class TestOthers:
         assert code_1 == code_2 == 0
         assert out_2 == out_1
 
+    def test_verify_failure_exit_1(self, capsys, monkeypatch):
+        from shipat import verify
+
+        failing = verify.CheckResult("core", "stub", False, "boom")
+        monkeypatch.setitem(verify.SUITES, "core", [lambda n_max: failing])
+        code, out, err = run_cli(capsys, "verify", "--suite", "core")
+        assert (code, out) == (1, "FAIL core.stub: boom\n0/1 checks passed\n")
+        assert err == "error: 1 of 1 checks failed\n"
+
     def test_determinism(self, capsys):
         outputs = set()
         for _ in range(2):
@@ -164,19 +173,57 @@ class TestOthers:
         assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["count-avoiders", "--family", "te", "--k", "2", "--n-max", "-3"],
-     "--n-max"),
-    (["count-avoiders", "--family", "tv", "--k", "3", "--n-max", "4",
-      "--method", "brute", "--jobs", "0"], "--jobs"),
-    (["verify", "--suite", "core", "--n-max", "-1"], "--n-max"),
-    (["verify", "--suite", "core", "--n-max", "3", "--jobs", "-2"], "--jobs"),
-])
-def test_illegal_counts_exit_2(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and message in err
+CAP = "error: brute avoider counting capped at size 12\n"
+
+# Every error path of every command: (label, argv, exit code, exact stderr).
+MISUSE = [
+    ("--n-max", ["count-avoiders", "--family", "te", "--k", "2",
+                 "--n-max", "-3"], 2, "error: --n-max must be >= 0\n"),
+    ("--jobs", ["count-avoiders", "--family", "tv", "--k", "3", "--n-max",
+                "4", "--method", "brute", "--jobs", "0"], 2,
+     "error: --jobs must be >= 1\n"),
+    ("--n-max", ["verify", "--suite", "core", "--n-max", "-1"], 2,
+     "error: --n-max must be >= 0\n"),
+    ("--jobs", ["verify", "--suite", "core", "--n-max", "3", "--jobs", "-2"],
+     2, "error: --jobs must be >= 1\n"),
+    ("covers-bad-path", ["covers", "--path", "UDDU", "--dir", "lower"], 2,
+     "error: prefix ending at index 3 has more D than U steps\n"),
+    ("covers-bad-char", ["covers", "--path", "UDX", "--dir", "upper"], 2,
+     "error: unexpected character 'X' at index 3\n"),
+    ("covers-closed-lower-empty", ["covers", "--path", "", "--dir", "lower",
+                                   "--method", "closed"], 2,
+     "error: lower covers need semilength >= 1\n"),
+    ("covers-both-lower-empty", ["covers", "--path", "", "--dir", "lower",
+                                 "--method", "both"], 2,
+     "error: lower covers need semilength >= 1\n"),
+    ("--k", ["count-avoiders", "--family", "te", "--k", "1", "--n-max", "3"],
+     2, "error: --k must be >= 2\n"),
+    ("oeis-both", ["count-avoiders", "--family", "te", "--k", "2", "--n-max",
+                   "3", "--method", "both", "--format", "oeis"], 2,
+     "error: oeis format needs a single method\n"),
+    ("brute-cap", ["count-avoiders", "--family", "te", "--k", "2",
+                   "--n-max", "13", "--method", "brute"], 1, CAP),
+    ("both-cap", ["count-avoiders", "--family", "te", "--k", "2",
+                  "--n-max", "13", "--method", "both"], 1, CAP),
+    ("zeta-bad-path", ["zeta", "--path", "UUD"], 2,
+     "error: word of length 3 has 2 U vs 1 D steps\n"),
+    ("poset-max-size", ["poset", "--max-size", "0"], 2,
+     "error: max_semilength must be >= 1\n"),
+    ("poset-node-cap", ["poset", "--max-size", "4", "--max-nodes", "3"], 1,
+     "error: 22 nodes exceed the budget of 3\n"),
+    ("region-bad-area", ["region", "--area", "0,7"], 2,
+     "error: a_2=7 outside [0, 1]\n"),
+    ("region-non-integer", ["region", "--area", "0,x"], 2,
+     "error: invalid literal for int() with base 10: 'x'\n"),
+    ("region-one-entry", ["region", "--area", "0"], 2,
+     "error: region emission needs a tableau of size >= 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", [row[1:] for row in MISUSE],
+                         ids=[f"argv{i}-{row[0]}" for i, row in enumerate(MISUSE)])
+def test_illegal_counts_exit_2(capsys, argv, code, err):
+    assert run_cli(capsys, *argv) == (code, "", err)
 
 
 def test_console_entry_point():

@@ -87,6 +87,16 @@ class TestCovers:
         for q in upper_covers(p):
             assert p in lower_covers(q)
 
+    def test_empty_path_covers(self):
+        # bounce deletion needs semilength >= 2, so nothing lies above the
+        # empty path, yet its single insertion is UD
+        ud = parse_path("UD")
+        assert upper_covers(EMPTY_PATH) == {ud}
+        assert count_upper_covers(EMPTY_PATH) == 1
+        assert lower_covers(ud) == frozenset()
+        assert upper_covers_by_search(EMPTY_PATH) == frozenset()
+        assert not contains_pattern(ud, EMPTY_PATH)
+
     def test_collisions_exist(self):
         # two distinct deletions of UUDD give the same child
         assert cover_collisions(parse_path("UUDD"))
