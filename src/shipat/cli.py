@@ -10,11 +10,13 @@ Subcommands expose the library with deterministic, scriptable output:
     shipat verify --suite all --n-max 7
 
 Exit codes: 0 success, 1 check or resource failure, 2 usage or parse error,
-3 method disagreement in ``both`` mode.  Command handlers raise instead of
-reporting: :func:`main` alone decides exit codes, printing ``error: <message>``
-to stderr and returning 1 for :class:`~shipat.poset.ResourceLimit` or a
-failed ``verify`` check and 2 for ``ValueError``, the type of every parse,
-family, size and flag error.
+3 method disagreement in ``both`` mode.  Command handlers return nothing and
+raise instead of reporting: :func:`main` alone decides exit codes.  It
+returns 3, with nothing on stderr, when the two methods of ``both`` mode
+disagree (the ``DISAGREE`` line is already on stdout); otherwise it prints
+``error: <message>`` to stderr and returns 1 for
+:class:`~shipat.poset.ResourceLimit` or a failed ``verify`` check and 2 for
+``ValueError``, the type of every parse, family, size and flag error.
 
 Each command imports only what it runs: :mod:`shipat.verify` is imported by
 ``verify`` alone, and its process pool only for ``verify --jobs N`` with
@@ -78,7 +80,11 @@ class _CheckFailed(Exception):
     """Some ``verify`` check failed; its lines are already on stdout."""
 
 
-def _cmd_covers(args) -> int:
+class _Disagreement(Exception):
+    """The two methods of ``both`` mode disagree; DISAGREE is already on stdout."""
+
+
+def _cmd_covers(args) -> None:
     path = parse_path(args.path)
     brute_set = closed = None
     if args.method in ("brute", "both"):
@@ -98,9 +104,8 @@ def _cmd_covers(args) -> int:
         print(f"count_brute,{len(brute_set)}")
         if closed != len(brute_set):
             print("DISAGREE")
-            return 3
+            raise _Disagreement
         print("AGREE")
-    return 0
 
 
 def _check_ranges(args) -> None:
@@ -111,7 +116,7 @@ def _check_ranges(args) -> None:
         raise ValueError("--jobs must be >= 1")
 
 
-def _cmd_count_avoiders(args) -> int:
+def _cmd_count_avoiders(args) -> None:
     if args.k < 2:
         raise ValueError("--k must be >= 2")
     _check_ranges(args)
@@ -127,34 +132,36 @@ def _cmd_count_avoiders(args) -> int:
         print("n,count,count_brute,agree")
         for n, (c, b) in enumerate(zip(closed, brute)):
             print(f"{n},{c},{b},{'AGREE' if c == b else 'DISAGREE'}")
-        return 0 if closed == brute else 3
+        if closed != brute:
+            raise _Disagreement
+        return
     counts = closed if args.method == "closed" else brute
     if args.format == "oeis":
         sys.stdout.write(avoidance.sequence_oeis(counts))
     else:
         sys.stdout.write(avoidance.sequence_csv(counts))
-    return 0
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> None:
     print(avoidance.zeta(parse_path(args.path)).word)
-    return 0
 
 
-def _cmd_poset(args) -> int:
+def _cmd_poset(args) -> None:
     graph = poset.hasse(args.max_size, max_nodes=args.max_nodes)
     sys.stdout.write(poset.export_dot(graph))
-    return 0
 
 
-def _cmd_region(args) -> int:
-    area = tuple(int(chunk) for chunk in args.area.split(","))
+def _cmd_region(args) -> None:
+    try:
+        area = tuple(int(chunk) for chunk in args.area.split(","))
+    except ValueError:
+        raise ValueError("--area needs comma-separated integers, "
+                         f"got {args.area!r}") from None
     for line in region_inequalities(ShiTableau(area)):
         print(line)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     _check_ranges(args)
     from . import verify  # here, not at the top: see the module docstring
 
@@ -165,7 +172,6 @@ def _cmd_verify(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if failed:
         raise _CheckFailed(f"{len(failed)} of {len(results)} checks failed")
-    return 0
 
 
 _HANDLERS = {
@@ -182,10 +188,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that turns an error into an exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        _HANDLERS[args.command](args)
+    except _Disagreement:
+        return 3
     except (poset.ResourceLimit, _CheckFailed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def classify_branch(p: DyckPath) -> str:
         return BRANCH_PYRAMID
     if w == "U" + "UD" * (s - 1) + "D":
         return BRANCH_PEAK_RUN
-    if _symmetric_arm(p) is not None:
+    if _is_symmetric(p):
         return BRANCH_SYMMETRIC
     if is_strongly_irreducible(p):
         return BRANCH_STRONG
@@ -88,15 +88,13 @@ def classify_branch(p: DyckPath) -> str:
     return BRANCH_REDUCIBLE
 
 
-def _symmetric_arm(p: DyckPath) -> int | None:
-    """Arm length a if p = U^a (DU)^r D^a with a >= 3 and r >= 1."""
+def _is_symmetric(p: DyckPath) -> bool:
+    """Whether p = U^a (DU)^r D^a with a >= 3 and r >= 1."""
     rf = run_form(p)
     asc, desc = rf.ascents, rf.descents
-    if (len(asc) >= 2 and asc[0] >= 3 and desc[-1] == asc[0]
+    return (len(asc) >= 2 and asc[0] >= 3 and desc[-1] == asc[0]
             and all(x == 1 for x in asc[1:])
-            and all(x == 1 for x in desc[:-1])):
-        return asc[0]
-    return None
+            and all(x == 1 for x in desc[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ class AuditReport:
                          "(4n-5 peak-run range starts at semilength "
                          f"{PEAK_RUN_MIN_SEMILENGTH}; smaller cases belong to "
                          "other families)")
-        lines.append("  mismatches: " + (str(len(self.mismatches)) or "0"))
+        lines.append(f"  mismatches: {len(self.mismatches)}")
         for word, branch, which, closed, brute in self.mismatches[:20]:
             lines.append(f"    {which} {word} [{branch}]: closed={closed} brute={brute}")
         return lines

@@ -324,12 +324,16 @@ def hasse(max_semilength: int, max_nodes: int | None = None) -> HasseGraph:
     if max_semilength < 1:
         raise ValueError("max_semilength must be >= 1")
     if max_nodes is None:
-        max_nodes = int(os.environ.get(MAX_NODES_ENV, DEFAULT_MAX_NODES))
+        raw = os.environ.get(MAX_NODES_ENV, str(DEFAULT_MAX_NODES))
+        try:
+            max_nodes = int(raw)
+        except ValueError:
+            raise ValueError(f"{MAX_NODES_ENV} must be an integer, "
+                             f"got {raw!r}") from None
     total = sum(catalan(s) for s in range(1, max_semilength + 1))
     if total > max_nodes:
         raise ResourceLimit(f"{total} nodes exceed the budget of {max_nodes}")
-    levels = [tuple(sorted(enumerate_paths(s)))
-              for s in range(1, max_semilength + 1)]
+    levels = [tuple(enumerate_paths(s)) for s in range(1, max_semilength + 1)]
     edges = []
     for level in levels[1:]:
         for parent in level:

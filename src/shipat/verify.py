@@ -1,8 +1,13 @@
 """Oracle-equivalence suites: every closed formula against its brute twin.
 
 Each check walks an exhaustive range (bounded by ``n_max``), compares an
-analytic result with an independent enumeration, and reports one line.  The
-CLI ``verify`` subcommand runs these and exits nonzero if anything fails.
+analytic result with an independent enumeration, and returns the detail of
+its one ``ok`` line, or raises :class:`CheckFailed` with the first
+counterexample.  :data:`SUITES` is the only place a check's suite and name
+are written, and :func:`_run_one` the only place a check's outcome becomes
+a :class:`CheckResult`; to add a check, write ``check_x(n_max) -> str`` and
+give it one entry in :data:`SUITES`.  The CLI ``verify`` subcommand runs
+these and exits nonzero if anything fails.
 :func:`run_suite` with ``jobs`` > 1 spreads the checks over a process pool,
 and only then imports the pool machinery (``concurrent.futures`` and with it
 ``multiprocessing``), which costs a cold process about 40 ms.
@@ -10,6 +15,7 @@ and only then imports the pool machinery (``concurrent.futures`` and with it
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import avoidance, covers, poset
@@ -30,6 +36,7 @@ from .core import (
     peaks,
     return_points,
     run_form,
+    strongly_irreducible_decomposition,
     syt_to_path,
     tableau_to_path,
     valleys,
@@ -48,6 +55,10 @@ class CheckResult:
         return f"{status} {self.suite}.{self.name}: {self.detail}"
 
 
+class CheckFailed(Exception):
+    """A check met a counterexample; the message is the detail of its line."""
+
+
 def _paths_upto(n_max: int):
     for s in range(1, n_max + 1):
         yield from enumerate_paths(s)
@@ -58,15 +69,15 @@ def _paths_upto(n_max: int):
 # ---------------------------------------------------------------------------
 
 
-def check_roundtrips(n_max: int) -> CheckResult:
+def check_roundtrips(n_max: int) -> str:
     count = 0
     for p in _paths_upto(n_max):
         count += 1
         if tableau_to_path(path_to_tableau(p)) != p:
-            return CheckResult("core", "roundtrips", False, f"tableau roundtrip broke {p}")
+            raise CheckFailed(f"tableau roundtrip broke {p}")
         if syt_to_path(path_to_syt(p)) != p:
-            return CheckResult("core", "roundtrips", False, f"syt roundtrip broke {p}")
-    return CheckResult("core", "roundtrips", True, f"{count} paths round-trip")
+            raise CheckFailed(f"syt roundtrip broke {p}")
+    return f"{count} paths round-trip"
 
 
 def _legal_area_vectors(length: int):
@@ -83,66 +94,55 @@ def _legal_area_vectors(length: int):
     yield from extend([])
 
 
-def check_area_characterization(n_max: int) -> CheckResult:
+def check_area_characterization(n_max: int) -> str:
     for s in range(1, n_max + 1):
         vectors = set(_legal_area_vectors(s))
         if len(vectors) != catalan(s):
-            return CheckResult("core", "area-characterization", False,
-                               f"{len(vectors)} legal vectors at length {s}, "
-                               f"expected {catalan(s)}")
+            raise CheckFailed(f"{len(vectors)} legal vectors at length {s}, "
+                              f"expected {catalan(s)}")
         from_paths = {area_vector(p) for p in enumerate_paths(s)}
         if vectors != from_paths:
-            return CheckResult("core", "area-characterization", False,
-                               f"legal vectors differ from path areas at length {s}")
+            raise CheckFailed(f"legal vectors differ from path areas at length {s}")
         for vec in vectors:
             if tableau_to_path(ShiTableau(vec)).semilength != s:
-                return CheckResult("core", "area-characterization", False,
-                                   f"rebuild failed for {vec}")
-    return CheckResult("core", "area-characterization", True,
-                       f"legal area vectors = path areas up to length {n_max}")
+                raise CheckFailed(f"rebuild failed for {vec}")
+    return f"legal area vectors = path areas up to length {n_max}"
 
 
-def check_peak_valley_returns(n_max: int) -> CheckResult:
+def check_peak_valley_returns(n_max: int) -> str:
     # valleys sitting on the diagonal are the returns, so only the strictly
     # raised ones count on the right-hand side
     for p in _paths_upto(n_max):
         raised = sum(1 for _, h in valleys(p) if h >= 1)
         if len(peaks(p)) != raised + p.heights().count(0):
-            return CheckResult("core", "peaks-valleys-returns", False, p.word)
-    return CheckResult("core", "peaks-valleys-returns", True,
-                       f"|peaks| = |raised valleys| + returns up to semilength {n_max}")
+            raise CheckFailed(p.word)
+    return f"|peaks| = |raised valleys| + returns up to semilength {n_max}"
 
 
-def check_bounce(n_max: int) -> CheckResult:
+def check_bounce(n_max: int) -> str:
     for p in _paths_upto(n_max):
         b = bounce_path(p)
         if any(x > y for x, y in zip(area_vector(b), area_vector(p))):
-            return CheckResult("core", "bounce", False, f"{b} not below {p}")
+            raise CheckFailed(f"{b} not below {p}")
         if bounce_path(b) != b:
-            return CheckResult("core", "bounce", False, f"not idempotent on {p}")
-        if len(return_points(p)) != len([x for x in return_points(b)]):
-            return CheckResult("core", "bounce", False, f"return points differ on {p}")
-    return CheckResult("core", "bounce", True,
-                       f"valid, weakly below, idempotent up to semilength {n_max}")
+            raise CheckFailed(f"not idempotent on {p}")
+        if len(return_points(p)) != len(return_points(b)):
+            raise CheckFailed(f"return points differ on {p}")
+    return f"valid, weakly below, idempotent up to semilength {n_max}"
 
 
-def check_decompositions(n_max: int) -> CheckResult:
+def check_decompositions(n_max: int) -> str:
     for p in _paths_upto(n_max):
         d = irreducible_decomposition(p)
         if d.reassemble() != p:
-            return CheckResult("core", "decompositions", False, f"reassembly broke {p}")
+            raise CheckFailed(f"reassembly broke {p}")
         for part in d.parts:
             if part.kind == "irreducible" and not is_irreducible(part.component):
-                return CheckResult("core", "decompositions", False,
-                                   f"{part.component} misclassified in {p}")
-        if is_irreducible(p):
-            from .core import strongly_irreducible_decomposition
-            sd = strongly_irreducible_decomposition(p)
-            if sd.reassemble() != p:
-                return CheckResult("core", "decompositions", False,
-                                   f"strong reassembly broke {p}")
-    return CheckResult("core", "decompositions", True,
-                       f"reassembly identity up to semilength {n_max}")
+                raise CheckFailed(f"{part.component} misclassified in {p}")
+        if (is_irreducible(p)
+                and strongly_irreducible_decomposition(p).reassemble() != p):
+            raise CheckFailed(f"strong reassembly broke {p}")
+    return f"reassembly identity up to semilength {n_max}"
 
 
 # ---------------------------------------------------------------------------
@@ -150,44 +150,41 @@ def check_decompositions(n_max: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_cover_audit(n_max: int) -> CheckResult:
+def check_cover_audit(n_max: int) -> str:
     report = covers.audit_cover_counts(n_max)
     detail = (f"{report.paths_checked} paths, "
               f"{len(report.mismatches)} mismatches, "
               f"{len(report.fallbacks)} fallbacks")
-    return CheckResult("covers", "closed-vs-brute", report.ok, detail)
+    if not report.ok:
+        raise CheckFailed(detail)
+    return detail
 
 
-def check_inverse_consistency(n_max: int) -> CheckResult:
+def check_inverse_consistency(n_max: int) -> str:
     bound = min(n_max, 7)
     for p in _paths_upto(bound):
         ups = poset.upper_covers(p)
         for q in ups:
             if p.word not in poset._lower_cover_words(q.word):
-                return CheckResult("covers", "inverse-consistency", False,
-                                   f"{q} does not delete to {p}")
+                raise CheckFailed(f"{q} does not delete to {p}")
         if ups != poset.upper_covers_by_search(p):
-            return CheckResult("covers", "inverse-consistency", False,
-                               f"insertion vs search differ at {p}")
-    return CheckResult("covers", "inverse-consistency", True,
-                       f"insertion = inverse search up to semilength {bound}")
+            raise CheckFailed(f"insertion vs search differ at {p}")
+    return f"insertion = inverse search up to semilength {bound}"
 
 
-def check_lower_cover_exists(n_max: int) -> CheckResult:
+def check_lower_cover_exists(n_max: int) -> str:
     for p in _paths_upto(n_max):
         if p.semilength >= 2 and not poset.lower_covers(p):
-            return CheckResult("covers", "lower-cover-exists", False, p.word)
-    return CheckResult("covers", "lower-cover-exists", True,
-                       f"every path of semilength 2..{n_max} has a lower cover")
+            raise CheckFailed(p.word)
+    return f"every path of semilength 2..{n_max} has a lower cover"
 
 
-def check_up_irred_dual_route(n_max: int) -> CheckResult:
+def check_up_irred_dual_route(n_max: int) -> str:
     for p in _paths_upto(n_max):
         if covers.classify_branch(p) in (covers.BRANCH_STRONG, covers.BRANCH_SYMMETRIC):
             if covers._up_irred(p) != _up_irred_from_runs(p):
-                return CheckResult("covers", "column-formula-dual", False, p.word)
-    return CheckResult("covers", "column-formula-dual", True,
-                       "word-scan and run-form evaluations agree")
+                raise CheckFailed(p.word)
+    return "word-scan and run-form evaluations agree"
 
 
 def _up_irred_from_runs(p: DyckPath) -> int:
@@ -245,7 +242,7 @@ def classify_double_cover(p: DyckPath, d1: poset.Deletion,
     return "unclassified"
 
 
-def check_double_covers(n_max: int) -> CheckResult:
+def check_double_covers(n_max: int) -> str:
     bound = min(n_max, 7)
     census = {"same-runs": 0, "zigzag": 0}
     for p in _paths_upto(bound):
@@ -254,29 +251,24 @@ def check_double_covers(n_max: int) -> CheckResult:
                 for y in range(x + 1, len(ds)):
                     kind = classify_double_cover(p, ds[x], ds[y])
                     if kind == "unclassified":
-                        return CheckResult("covers", "double-cover", False,
-                                           f"{p.word}: {ds[x]} vs {ds[y]}")
+                        raise CheckFailed(f"{p.word}: {ds[x]} vs {ds[y]}")
                     census[kind] += 1
-    return CheckResult("covers", "double-cover", True,
-                       f"collisions classified up to semilength {bound}: {census}")
+    return f"collisions classified up to semilength {bound}: {census}"
 
 
-def check_containment_properties(n_max: int) -> CheckResult:
+def check_containment_properties(n_max: int) -> str:
     bound = min(n_max, 6)
     paths = list(_paths_upto(bound))
     for p in paths:
         if not poset.contains_pattern(p, p):
-            return CheckResult("covers", "containment-order", False,
-                               f"not reflexive at {p}")
+            raise CheckFailed(f"not reflexive at {p}")
     # pruned search vs unpruned reference
     small = [p for p in paths if p.semilength <= 5]
     for p in small:
         for q in small:
             if poset.contains_pattern(p, q) != poset.contains_pattern_noprune(p, q):
-                return CheckResult("covers", "containment-order", False,
-                                   f"pruning changed {p} >= {q}")
-    return CheckResult("covers", "containment-order", True,
-                       "reflexive; pruned search matches unpruned reference")
+                raise CheckFailed(f"pruning changed {p} >= {q}")
+    return "reflexive; pruned search matches unpruned reference"
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,7 @@ def check_containment_properties(n_max: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_characterizations(n_max: int) -> CheckResult:
+def check_characterizations(n_max: int) -> str:
     # the brute answers of every host come off one up-set per pattern
     containing = {(tag, k): poset.up_set(avoidance.pattern(tag, k), n_max)
                   for tag in avoidance.FAMILY_TAGS for k in (2, 3, 4)}
@@ -296,34 +288,30 @@ def check_characterizations(n_max: int) -> CheckResult:
                 lhs = avoidance.avoids_characterized(p, tag, k)
                 rhs = p.word not in containing[tag, k][p.semilength]
                 if lhs != rhs:
-                    return CheckResult("avoidance", "characterizations", False,
-                                       f"{tag}_{k} differs at {p.word}")
-    return CheckResult("avoidance", "characterizations", True,
-                       f"{count} predicate/search agreements")
+                    raise CheckFailed(f"{tag}_{k} differs at {p.word}")
+    return f"{count} predicate/search agreements"
 
 
-def check_zeta(n_max: int) -> CheckResult:
+def check_zeta(n_max: int) -> str:
     for s in range(1, n_max + 1):
         images = set()
         for p in enumerate_paths(s):
             z = avoidance.zeta(p)
             if z.semilength != s:
-                return CheckResult("avoidance", "zeta", False, f"size broke at {p}")
+                raise CheckFailed(f"size broke at {p}")
             images.add(z)
         if len(images) != catalan(s):
-            return CheckResult("avoidance", "zeta", False, f"not bijective at {s}")
+            raise CheckFailed(f"not bijective at {s}")
     for p in _paths_upto(min(n_max, 8)):
         z = avoidance.zeta(p)
         for k in range(1, 6):
             if (height(p) <= k) != (len(return_points(z)) <= k):
-                return CheckResult("avoidance", "zeta", False,
-                                   f"height/bounce equivalence broke at {p}, k={k}")
-    return CheckResult("avoidance", "zeta", True,
-                       f"bijective up to semilength {n_max}; "
-                       "height <=> bounce returns for k <= 5")
+                raise CheckFailed(f"height/bounce equivalence broke at {p}, k={k}")
+    return (f"bijective up to semilength {n_max}; "
+            "height <=> bounce returns for k <= 5")
 
 
-def check_peak_flattening(n_max: int) -> CheckResult:
+def check_peak_flattening(n_max: int) -> str:
     # the flattening bijection pairs tg_k with te_k only from k = 3 on;
     # at size two tg sits in the other Wilf class
     for k in (3, 4):
@@ -334,49 +322,42 @@ def check_peak_flattening(n_max: int) -> CheckResult:
             for p in g_avoiders:
                 q = avoidance.flatten_high_peaks(p, k - 1)
                 if not avoidance.avoids_characterized(q, "te", k):
-                    return CheckResult("avoidance", "peak-flattening", False,
-                                       f"{p.word} -> {q.word} not te_{k}-avoiding")
+                    raise CheckFailed(f"{p.word} -> {q.word} not te_{k}-avoiding")
                 images.add(q)
             e_avoiders = {p for p in enumerate_paths(s)
                           if avoidance.avoids_characterized(p, "te", k)}
             if images != e_avoiders:
-                return CheckResult("avoidance", "peak-flattening", False,
-                                   f"not onto for k={k}, s={s}")
-    return CheckResult("avoidance", "peak-flattening", True,
-                       "tg avoiders map bijectively onto te avoiders (k = 3, 4)")
+                raise CheckFailed(f"not onto for k={k}, s={s}")
+    return "tg avoiders map bijectively onto te avoiders (k = 3, 4)"
 
 
-def check_mirror_symmetry(n_max: int) -> CheckResult:
+def check_mirror_symmetry(n_max: int) -> str:
     bound = min(n_max, 8)
     for s in range(1, bound + 1):
         for p in enumerate_paths(s):
             if avoidance.avoids_characterized(p, "tv", 2) != \
                     avoidance.avoids_characterized(mirror(p), "tor", 2):
-                return CheckResult("avoidance", "mirror-symmetry", False, p.word)
+                raise CheckFailed(p.word)
     for k in (2, 3):
         rows = [avoidance.brute_avoider_counts(avoidance.pattern(tag, k),
                                                min(n_max, 7))
                 for tag in ("tv", "tor")]
         for n, (a, b) in enumerate(zip(*rows)):
             if a != b:
-                return CheckResult("avoidance", "mirror-symmetry", False,
-                                   f"counts differ at k={k}, n={n}")
-    return CheckResult("avoidance", "mirror-symmetry", True,
-                       "mirror exchanges tv and tor avoiders; counts agree")
+                raise CheckFailed(f"counts differ at k={k}, n={n}")
+    return "mirror exchanges tv and tor avoiders; counts agree"
 
 
-def check_f_count(n_max: int) -> CheckResult:
+def check_f_count(n_max: int) -> str:
     for m in range(0, 21):
         for n in range(0, 21):
             for k in range(0, 9):
                 if avoidance.f_count(m, n, k) != avoidance.f_count_oracle(m, n, k):
-                    return CheckResult("avoidance", "f-count", False,
-                                       f"mismatch at ({m}, {n}, {k})")
-    return CheckResult("avoidance", "f-count", True,
-                       "reflection formula = DP oracle on 0..20 x 0..20 x 0..8")
+                    raise CheckFailed(f"mismatch at ({m}, {n}, {k})")
+    return "reflection formula = DP oracle on 0..20 x 0..20 x 0..8"
 
 
-def check_closed_vs_brute(n_max: int) -> CheckResult:
+def check_closed_vs_brute(n_max: int) -> str:
     bound = min(n_max, 8)
     for tag in avoidance.FAMILY_TAGS:
         for k in (2, 3, 4, 5):
@@ -384,42 +365,45 @@ def check_closed_vs_brute(n_max: int) -> CheckResult:
             for n, brute in enumerate(rows):
                 closed = avoidance.count_avoiders_closed(tag, k, n)
                 if closed != brute:
-                    return CheckResult("avoidance", "closed-vs-brute", False,
-                                       f"{tag}_{k} at n={n}: closed={closed} brute={brute}")
-    return CheckResult("avoidance", "closed-vs-brute", True,
-                       f"all families, k 2..5, n 0..{bound}")
+                    raise CheckFailed(f"{tag}_{k} at n={n}: "
+                                      f"closed={closed} brute={brute}")
+    return f"all families, k 2..5, n 0..{bound}"
 
 
-SUITES: dict[str, list] = {
-    "core": [
-        check_roundtrips,
-        check_area_characterization,
-        check_peak_valley_returns,
-        check_bounce,
-        check_decompositions,
-    ],
-    "covers": [
-        check_cover_audit,
-        check_inverse_consistency,
-        check_lower_cover_exists,
-        check_up_irred_dual_route,
-        check_double_covers,
-        check_containment_properties,
-    ],
-    "avoidance": [
-        check_characterizations,
-        check_zeta,
-        check_peak_flattening,
-        check_mirror_symmetry,
-        check_f_count,
-        check_closed_vs_brute,
-    ],
+SUITES: dict[str, dict[str, Callable[[int], str]]] = {
+    "core": {
+        "roundtrips": check_roundtrips,
+        "area-characterization": check_area_characterization,
+        "peaks-valleys-returns": check_peak_valley_returns,
+        "bounce": check_bounce,
+        "decompositions": check_decompositions,
+    },
+    "covers": {
+        "closed-vs-brute": check_cover_audit,
+        "inverse-consistency": check_inverse_consistency,
+        "lower-cover-exists": check_lower_cover_exists,
+        "column-formula-dual": check_up_irred_dual_route,
+        "double-cover": check_double_covers,
+        "containment-order": check_containment_properties,
+    },
+    "avoidance": {
+        "characterizations": check_characterizations,
+        "zeta": check_zeta,
+        "peak-flattening": check_peak_flattening,
+        "mirror-symmetry": check_mirror_symmetry,
+        "f-count": check_f_count,
+        "closed-vs-brute": check_closed_vs_brute,
+    },
 }
 
 
-def _run_one(args: tuple[str, int, int]) -> CheckResult:
-    suite, index, n_max = args
-    return SUITES[suite][index](n_max)
+def _run_one(args: tuple[str, str, int]) -> CheckResult:
+    """Run one registered check; the only place a result is built."""
+    suite, name, n_max = args
+    try:
+        return CheckResult(suite, name, True, SUITES[suite][name](n_max))
+    except CheckFailed as failure:
+        return CheckResult(suite, name, False, str(failure))
 
 
 def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
@@ -431,8 +415,7 @@ def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    work = [(name, i, n_max) for name in names
-            for i in range(len(SUITES[name]))]
+    work = [(name, check, n_max) for name in names for check in SUITES[name]]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

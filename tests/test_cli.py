@@ -40,6 +40,16 @@ class TestCovers:
         assert code == 2
         assert "error" in err
 
+    def test_both_disagree_exit_3(self, capsys, monkeypatch):
+        from shipat import covers
+
+        closed = covers.count_upper_covers
+        monkeypatch.setattr(covers, "count_upper_covers",
+                            lambda path: closed(path) + 1)
+        assert run_cli(capsys, "covers", "--path", "UD", "--dir", "upper",
+                       "--method", "both") == (
+            3, "count_closed,3\ncount_brute,2\nDISAGREE\n", "")
+
     def test_alias_input(self, capsys):
         code, out, _ = run_cli(capsys, "covers", "--path", "1010",
                                "--dir", "lower", "--method", "brute")
@@ -103,6 +113,15 @@ class TestCountAvoiders:
                                "--k", "1", "--n-max", "3")
         assert code == 2
 
+    def test_both_disagree_exit_3(self, capsys, monkeypatch):
+        closed = avoidance.count_avoiders_closed
+        monkeypatch.setattr(avoidance, "count_avoiders_closed",
+                            lambda tag, k, n: closed(tag, k, n) + (n == 2))
+        assert run_cli(capsys, "count-avoiders", "--family", "te", "--k",
+                       "2", "--n-max", "2", "--method", "both") == (
+            3, "n,count,count_brute,agree\n0,1,1,AGREE\n1,2,2,AGREE\n"
+               "2,5,4,DISAGREE\n", "")
+
 
 class TestOthers:
     def test_zeta(self, capsys):
@@ -142,6 +161,11 @@ class TestOthers:
                                "--max-nodes", "100")
         assert code == 0
 
+    def test_poset_bad_env_names_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHIPAT_MAX_NODES", "abc")
+        assert run_cli(capsys, "poset", "--max-size", "4") == (
+            2, "", "error: SHIPAT_MAX_NODES must be an integer, got 'abc'\n")
+
     def test_verify_core(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "core", "--n-max", "5")
         assert code == 0
@@ -158,8 +182,10 @@ class TestOthers:
     def test_verify_failure_exit_1(self, capsys, monkeypatch):
         from shipat import verify
 
-        failing = verify.CheckResult("core", "stub", False, "boom")
-        monkeypatch.setitem(verify.SUITES, "core", [lambda n_max: failing])
+        def stub(n_max):
+            raise verify.CheckFailed("boom")
+
+        monkeypatch.setitem(verify.SUITES, "core", {"stub": stub})
         code, out, err = run_cli(capsys, "verify", "--suite", "core")
         assert (code, out) == (1, "FAIL core.stub: boom\n0/1 checks passed\n")
         assert err == "error: 1 of 1 checks failed\n"
@@ -214,7 +240,7 @@ MISUSE = [
     ("region-bad-area", ["region", "--area", "0,7"], 2,
      "error: a_2=7 outside [0, 1]\n"),
     ("region-non-integer", ["region", "--area", "0,x"], 2,
-     "error: invalid literal for int() with base 10: 'x'\n"),
+     "error: --area needs comma-separated integers, got '0,x'\n"),
     ("region-one-entry", ["region", "--area", "0"], 2,
      "error: region emission needs a tableau of size >= 1\n"),
 ]
