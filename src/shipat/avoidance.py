@@ -25,11 +25,11 @@ terms are exact integer divisions with a zero remainder asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
     DyckPath,
+    _Frozen,
     area_vector,
     catalan,
     height,
@@ -57,15 +57,16 @@ def _check_family(tag: str, k: int) -> None:
         raise ValueError("family size k must be >= 2")
 
 
-@dataclass(frozen=True)
-class PatternFamily:
+class PatternFamily(_Frozen):
     """One of the five pattern families, at size k >= 2."""
 
+    __slots__ = ("tag", "k")
     tag: str
     k: int
 
-    def __post_init__(self) -> None:
-        _check_family(self.tag, self.k)
+    def __init__(self, tag: str, k: int) -> None:
+        _check_family(tag, k)
+        self._fill(tag, k)
 
     def path(self) -> DyckPath:
         return pattern(self.tag, self.k)
@@ -337,15 +338,19 @@ def count_avoiders_closed(tag: str, k: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class WilfReport:
+class WilfReport(_Frozen):
     """Brute avoider counts of two families side by side."""
 
+    __slots__ = ("tag_a", "tag_b", "k", "counts_a", "counts_b")
     tag_a: str
     tag_b: str
     k: int
     counts_a: tuple[int, ...]
     counts_b: tuple[int, ...]
+
+    def __init__(self, tag_a: str, tag_b: str, k: int,
+                 counts_a: tuple[int, ...], counts_b: tuple[int, ...]) -> None:
+        self._fill(tag_a, tag_b, k, counts_a, counts_b)
 
     @property
     def equal(self) -> bool:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 
@@ -70,18 +71,95 @@ def _validate_word(word: str) -> None:
         raise NotBalanced(len(word), ups, downs)
 
 
-@dataclass(frozen=True, order=True)
-class DyckPath:
+class _Record:
+    """Base of the value classes: a subclass names its fields in
+    ``__slots__``, in constructor order, and sets them with :meth:`_fill`.
+
+    Equality (same class and equal field tuples), ``repr``, pickling and
+    positional ``match`` patterns all follow the field tuple.  A plain
+    record is mutable and unhashable; :class:`_Frozen` and
+    :class:`_Ordered` add what the frozen values need.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:
+            # ``_key(self)``: the value of a single field, or the tuple of
+            # several; either compares exactly as the field tuple does.
+            cls._key = attrgetter(*cls.__slots__)
+            cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        key = self._key(self)
+        return (key,) if len(self.__slots__) == 1 else key
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # A frozen instance cannot have its slots restored by assignment,
+        # so unpickling and copying call the constructor again.
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """An immutable record, hashed by its field tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class _Ordered(_Frozen):
+    """An immutable record ordered by its field tuple, within one class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) < other._key(other)
+        return NotImplemented
+
+
+class DyckPath(_Ordered):
     """A Dyck path, stored as its step word over {U, D}.
 
     Instances are immutable values; equality and (lexicographic) order are
     inherited from the word, so paths can live in sets and sorted containers.
     """
 
-    word: str = ""
+    __slots__ = ("word",)
+    word: str
 
-    def __post_init__(self) -> None:
-        _validate_word(self.word)
+    def __init__(self, word: str = "") -> None:
+        _validate_word(word)
+        # the hottest constructor of the package sets its slot directly
+        object.__setattr__(self, "word", word)
+
+    def __hash__(self) -> int:
+        # the base's field-tuple hash without its generic lookups: every
+        # cover set hashes each path it holds
+        return hash((self.word,))
 
     @property
     def semilength(self) -> int:
@@ -180,18 +258,17 @@ def mirror(p: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ShiTableau:
+class ShiTableau(_Ordered):
     """A Shi tableau of size n, stored as its area vector a_1..a_{n+1}.
 
     ``area[i-1]`` is the number of empty boxes in row i; row i has i - 1
     boxes, full cells are the leftmost ones of each row.
     """
 
+    __slots__ = ("area",)
     area: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        area = self.area
+    def __init__(self, area: tuple[int, ...]) -> None:
         if len(area) == 0:
             raise ValueError("area vector must have at least one entry")
         if area[0] != 0:
@@ -202,6 +279,7 @@ class ShiTableau:
         for i in range(1, len(area)):
             if area[i] > area[i - 1] + 1:
                 raise ValueError(f"a_{i + 1} exceeds a_{i} + 1")
+        self._fill(area)
 
     @property
     def size(self) -> int:
@@ -282,15 +360,14 @@ def region_inequalities(t: ShiTableau) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardTableau2:
+class StandardTableau2(_Frozen):
     """A 2 x s standard Young tableau: U-step and D-step positions."""
 
+    __slots__ = ("top", "bottom")
     top: tuple[int, ...]
     bottom: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        top, bottom = self.top, self.bottom
+    def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...]) -> None:
         if len(top) != len(bottom):
             raise ValueError("rows must have equal length")
         size = 2 * len(top)
@@ -302,6 +379,7 @@ class StandardTableau2:
             raise ValueError("bottom row must be strictly increasing")
         if any(a >= b for a, b in zip(top, bottom)):
             raise ValueError("columns must be strictly increasing")
+        self._fill(top, bottom)
 
 
 def path_to_syt(p: DyckPath) -> StandardTableau2:
@@ -405,17 +483,18 @@ def bounce_path(p: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunForm:
+class RunForm(_Frozen):
     """Alternating run lengths (a_1, b_1, ..., a_l, b_l) of a path."""
 
+    __slots__ = ("runs",)
     runs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.runs) % 2:
+    def __init__(self, runs: tuple[int, ...]) -> None:
+        if len(runs) % 2:
             raise ValueError("runs must alternate ascent/descent pairs")
-        if any(r < 1 for r in self.runs):
+        if any(r < 1 for r in runs):
             raise ValueError("run lengths must be >= 1")
+        self._fill(runs)
 
     @property
     def ascents(self) -> tuple[int, ...]:
@@ -468,8 +547,7 @@ STRONGLY_IRREDUCIBLE = "strongly-irreducible"
 CONNECTING = "connecting"
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(_Frozen):
     """One component of a decomposition.
 
     For connecting parts ``peak_count`` is the number of peaks in the run
@@ -477,13 +555,17 @@ class Part:
     components is materialized so that it can be counted).
     """
 
+    __slots__ = ("component", "kind", "peak_count")
     component: DyckPath
     kind: str
-    peak_count: int | None = None
+    peak_count: int | None
+
+    def __init__(self, component: DyckPath, kind: str,
+                 peak_count: int | None = None) -> None:
+        self._fill(component, kind, peak_count)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Frozen):
     """An ordered split of a path into components.
 
     ``level`` is "irreducible" (ground-level split) or
@@ -493,8 +575,12 @@ class Decomposition:
     sigma, meaning U sigma D is the strongly irreducible factor.
     """
 
+    __slots__ = ("level", "parts")
     level: str
     parts: tuple[Part, ...]
+
+    def __init__(self, level: str, parts: tuple[Part, ...]) -> None:
+        self._fill(level, parts)
 
     def reassemble(self) -> DyckPath:
         body = "".join(part.component.word for part in self.parts)

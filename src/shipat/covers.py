@@ -23,10 +23,9 @@ Every closed branch here is audited against brute force by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     DyckPath,
+    _Record,
     enumerate_paths,
     is_irreducible,
     is_strongly_irreducible,
@@ -234,15 +233,25 @@ def compose_inside(x: DyckPath, y: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AuditReport:
+class AuditReport(_Record):
     """Outcome of the brute-force audit of the closed cover counts."""
 
+    __slots__ = ("max_semilength", "paths_checked", "branch_counts",
+                 "mismatches", "fallbacks")
     max_semilength: int
-    paths_checked: int = 0
-    branch_counts: dict[str, int] = field(default_factory=dict)
-    mismatches: list[tuple[str, str, str, int, int]] = field(default_factory=list)
-    fallbacks: list[tuple[str, str]] = field(default_factory=list)
+    paths_checked: int
+    branch_counts: dict[str, int]
+    mismatches: list[tuple[str, str, str, int, int]]
+    fallbacks: list[tuple[str, str]]
+
+    def __init__(self, max_semilength: int, paths_checked: int = 0,
+                 branch_counts: dict[str, int] | None = None,
+                 mismatches: list[tuple[str, str, str, int, int]] | None = None,
+                 fallbacks: list[tuple[str, str]] | None = None) -> None:
+        self._fill(max_semilength, paths_checked,
+                   {} if branch_counts is None else branch_counts,
+                   [] if mismatches is None else mismatches,
+                   [] if fallbacks is None else fallbacks)
 
     @property
     def ok(self) -> bool:

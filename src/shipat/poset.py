@@ -27,12 +27,12 @@ up-set of a pattern swept level by level by bounce insertions
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
 from .core import (
     DyckPath,
+    _Frozen,
     _RUNS,
     _validate_word,
     _word_area_vector,
@@ -50,18 +50,19 @@ class ResourceLimit(RuntimeError):
     """A computation would exceed its configured node budget."""
 
 
-@dataclass(frozen=True)
-class Deletion:
+class Deletion(_Frozen):
     """A bounce deletion delta_{i,k}: remove U_i and D_k with k in {i-1, i}."""
 
+    __slots__ = ("i", "k")
     i: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.k not in (self.i - 1, self.i):
-            raise ValueError(f"k must be i-1 or i, got i={self.i}, k={self.k}")
-        if self.k < 1:
+    def __init__(self, i: int, k: int) -> None:
+        if k not in (i - 1, i):
+            raise ValueError(f"k must be i-1 or i, got i={i}, k={k}")
+        if k < 1:
             raise ValueError("k must be >= 1 (i = 1 forces k = 1)")
+        self._fill(i, k)
 
 
 def _step_positions(word: str) -> tuple[list[int], list[int]]:
@@ -303,16 +304,20 @@ MAX_NODES_ENV = "SHIPAT_MAX_NODES"
 DEFAULT_MAX_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class HasseGraph:
+class HasseGraph(_Frozen):
     """Cover graph of the pattern order up to a maximal semilength.
 
     ``levels[s]`` lists the paths of semilength s in lexicographic order;
     every edge (parent, child) drops the semilength by exactly one.
     """
 
+    __slots__ = ("levels", "edges")
     levels: tuple[tuple[DyckPath, ...], ...]
     edges: tuple[tuple[DyckPath, DyckPath], ...]
+
+    def __init__(self, levels: tuple[tuple[DyckPath, ...], ...],
+                 edges: tuple[tuple[DyckPath, DyckPath], ...]) -> None:
+        self._fill(levels, edges)
 
     @property
     def node_count(self) -> int:

@@ -16,10 +16,10 @@ and only then imports the pool machinery (``concurrent.futures`` and with it
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import avoidance, covers, poset
 from .core import (
+    _Frozen,
     _RUNS,
     DyckPath,
     ShiTableau,
@@ -43,12 +43,15 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Frozen):
+    __slots__ = ("suite", "name", "ok", "detail")
     suite: str
     name: str
     ok: bool
     detail: str
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str) -> None:
+        self._fill(suite, name, ok, detail)
 
     def line(self) -> str:
         status = "ok" if self.ok else "FAIL"
@@ -119,9 +122,31 @@ def check_peak_valley_returns(n_max: int) -> str:
     return f"|peaks| = |raised valleys| + returns up to semilength {n_max}"
 
 
+def _bounce_by_walk(word: str) -> str:
+    """The bounce path read off the lattice walk of ``word`` (U north, D
+    east): from the diagonal point (x, x) go north to the height y at which
+    the walk's east step x -> x + 1 starts, then east back to (y, y)."""
+    starts = []  # starts[x]: the height of the east step x -> x + 1
+    y = 0
+    for char in word:
+        if char == "U":
+            y += 1
+        else:
+            starts.append(y)
+    chunks = []
+    x = 0
+    while x < len(starts):
+        y = starts[x]
+        chunks.append("U" * (y - x) + "D" * (y - x))
+        x = y
+    return "".join(chunks)
+
+
 def check_bounce(n_max: int) -> str:
     for p in _paths_upto(n_max):
         b = bounce_path(p)
+        if b.word != _bounce_by_walk(p.word):
+            raise CheckFailed(f"{b} is not the bounce path of {p}")
         if any(x > y for x, y in zip(area_vector(b), area_vector(p))):
             raise CheckFailed(f"{b} not below {p}")
         if bounce_path(b) != b:

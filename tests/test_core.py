@@ -111,6 +111,26 @@ class TestStandardTableaux:
         assert syt_to_path(path_to_syt(p)) == p
 
 
+def bounce_by_walk(word):
+    """The bounce path read off the lattice walk (U north, D east): from
+    (x, x) go north to where the walk's east step out of column x starts,
+    then east back to the diagonal."""
+    east_start = {}
+    x = y = 0
+    for char in word:
+        if char == "U":
+            y += 1
+        else:
+            east_start[x] = y
+            x += 1
+    out, x = "", 0
+    while x < len(word) // 2:
+        y = east_start[x]
+        out += "U" * (y - x) + "D" * (y - x)
+        x = y
+    return out
+
+
 class TestStatistics:
     def test_height_peaks_valleys(self):
         assert height(parse_path("UUDD")) == 2
@@ -129,6 +149,14 @@ class TestStatistics:
             p = DyckPath("U" * k + "D" * k)
             assert bounce_path(p) == p
             assert return_points(p) == [k]
+
+    def test_bounce_matches_lattice_walk(self):
+        moved = 0
+        for s in range(1, 9):
+            for p in enumerate_paths(s):
+                assert bounce_path(p).word == bounce_by_walk(p.word)
+                moved += bounce_path(p) != p
+        assert moved == 1800  # all but the 255 bounce paths themselves
 
     @given(dyck_paths())
     @settings(max_examples=60)
