@@ -191,12 +191,11 @@ def bounded_height_count(n: int, k: int) -> int:
 
 
 def ballot_count(n: int, ell: int) -> int:
-    """Ballot paths with n U steps and ell D steps never going below the diagonal."""
+    """Ballot paths with n U steps and ell D steps never going below the
+    diagonal: the strip count to (ell, n) of height n, ``f_count(ell, n, n)``."""
     if not 0 <= ell <= n:
         raise ValueError("need 0 <= ell <= n")
-    value = (n - ell + 1) * math.comb(n + ell, ell)
-    assert value % (n + 1) == 0
-    return value // (n + 1)
+    return f_count(ell, n, n)
 
 
 def _binomial_run(size: int, j: int, step: int, count: int) -> Iterator[int]:
@@ -350,7 +349,7 @@ class WilfReport(_Frozen):
 
     def __init__(self, tag_a: str, tag_b: str, k: int,
                  counts_a: tuple[int, ...], counts_b: tuple[int, ...]) -> None:
-        self._fill(tag_a, tag_b, k, counts_a, counts_b)
+        self._fill(tag_a, tag_b, k, tuple(counts_a), tuple(counts_b))
 
     @property
     def equal(self) -> bool:

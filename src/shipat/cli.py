@@ -11,12 +11,14 @@ Subcommands expose the library with deterministic, scriptable output:
 
 Exit codes: 0 success, 1 check or resource failure, 2 usage or parse error,
 3 method disagreement in ``both`` mode.  Command handlers return nothing and
-raise instead of reporting: :func:`main` alone decides exit codes.  It
-returns 3, with nothing on stderr, when the two methods of ``both`` mode
-disagree (the ``DISAGREE`` line is already on stdout); otherwise it prints
-``error: <message>`` to stderr and returns 1 for
+raise instead of reporting: :func:`main` alone decides exit codes and
+returns them, never exits: 2 when argparse rejects the command line (the
+usage is already on stderr), 3, with nothing on stderr, when the two methods
+of ``both`` mode disagree (``DISAGREE`` is already on stdout), and otherwise,
+after ``error: <message>`` on stderr, 1 for
 :class:`~shipat.poset.ResourceLimit` or a failed ``verify`` check and 2 for
-``ValueError``, the type of every parse, family, size and flag error.
+``ValueError``, the type of every parse, family, size and flag error.  Every
+cap is a library constant that raises ``ResourceLimit`` before any work.
 
 Each command imports only what it runs: :mod:`shipat.verify` is imported by
 ``verify`` alone, and its process pool only for ``verify --jobs N`` with
@@ -61,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poset = sub.add_parser("poset", help="emit the cover graph")
     p_poset.add_argument("--max-size", type=int, required=True)
     p_poset.add_argument("--format", default="dot", choices=["dot"])
-    p_poset.add_argument("--max-nodes", type=int, default=None)
 
     p_region = sub.add_parser("region", help="Shi region inequalities of a tableau")
     p_region.add_argument("--area", required=True,
@@ -147,7 +148,7 @@ def _cmd_zeta(args) -> None:
 
 
 def _cmd_poset(args) -> None:
-    graph = poset.hasse(args.max_size, max_nodes=args.max_nodes)
+    graph = poset.hasse(args.max_size)
     sys.stdout.write(poset.export_dot(graph))
 
 
@@ -186,9 +187,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that turns an error into an exit code."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _HANDLERS[args.command](args)
+    except SystemExit as exc:  # argparse: usage error or --help, printed
+        return exc.code
     except _Disagreement:
         return 3
     except (poset.ResourceLimit, _CheckFailed, ValueError) as exc:

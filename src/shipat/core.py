@@ -269,6 +269,7 @@ class ShiTableau(_Ordered):
     area: tuple[int, ...]
 
     def __init__(self, area: tuple[int, ...]) -> None:
+        area = tuple(area)
         if len(area) == 0:
             raise ValueError("area vector must have at least one entry")
         if area[0] != 0:
@@ -368,6 +369,7 @@ class StandardTableau2(_Frozen):
     bottom: tuple[int, ...]
 
     def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...]) -> None:
+        top, bottom = tuple(top), tuple(bottom)
         if len(top) != len(bottom):
             raise ValueError("rows must have equal length")
         size = 2 * len(top)
@@ -490,6 +492,7 @@ class RunForm(_Frozen):
     runs: tuple[int, ...]
 
     def __init__(self, runs: tuple[int, ...]) -> None:
+        runs = tuple(runs)
         if len(runs) % 2:
             raise ValueError("runs must alternate ascent/descent pairs")
         if any(r < 1 for r in runs):
@@ -580,7 +583,7 @@ class Decomposition(_Frozen):
     parts: tuple[Part, ...]
 
     def __init__(self, level: str, parts: tuple[Part, ...]) -> None:
-        self._fill(level, parts)
+        self._fill(level, tuple(parts))
 
     def reassemble(self) -> DyckPath:
         body = "".join(part.component.word for part in self.parts)

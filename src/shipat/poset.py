@@ -26,7 +26,6 @@ up-set of a pattern swept level by level by bounce insertions
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate
 from typing import Iterator
 
@@ -47,7 +46,7 @@ class IndexOutOfRange(ValueError):
 
 
 class ResourceLimit(RuntimeError):
-    """A computation would exceed its configured node budget."""
+    """A request exceeds one of the package's fixed size caps."""
 
 
 class Deletion(_Frozen):
@@ -300,8 +299,7 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
 # Hasse diagram
 # ---------------------------------------------------------------------------
 
-MAX_NODES_ENV = "SHIPAT_MAX_NODES"
-DEFAULT_MAX_NODES = 100_000
+HASSE_MAX_NODES = 100_000  # the most paths hasse() builds a graph on
 
 
 class HasseGraph(_Frozen):
@@ -317,27 +315,22 @@ class HasseGraph(_Frozen):
 
     def __init__(self, levels: tuple[tuple[DyckPath, ...], ...],
                  edges: tuple[tuple[DyckPath, DyckPath], ...]) -> None:
-        self._fill(levels, edges)
+        self._fill(tuple(map(tuple, levels)), tuple(map(tuple, edges)))
 
     @property
     def node_count(self) -> int:
         return sum(len(level) for level in self.levels)
 
 
-def hasse(max_semilength: int, max_nodes: int | None = None) -> HasseGraph:
-    """Build the cover graph on all paths of semilength 1..max_semilength."""
+def hasse(max_semilength: int) -> HasseGraph:
+    """Build the cover graph on all paths of semilength 1..max_semilength;
+    more than :data:`HASSE_MAX_NODES` paths raise :class:`ResourceLimit`."""
     if max_semilength < 1:
         raise ValueError("max_semilength must be >= 1")
-    if max_nodes is None:
-        raw = os.environ.get(MAX_NODES_ENV, str(DEFAULT_MAX_NODES))
-        try:
-            max_nodes = int(raw)
-        except ValueError:
-            raise ValueError(f"{MAX_NODES_ENV} must be an integer, "
-                             f"got {raw!r}") from None
     total = sum(catalan(s) for s in range(1, max_semilength + 1))
-    if total > max_nodes:
-        raise ResourceLimit(f"{total} nodes exceed the budget of {max_nodes}")
+    if total > HASSE_MAX_NODES:
+        raise ResourceLimit(f"{total} nodes exceed the budget of "
+                            f"{HASSE_MAX_NODES}")
     levels = [tuple(enumerate_paths(s)) for s in range(1, max_semilength + 1)]
     edges = []
     for level in levels[1:]:

@@ -19,3 +19,15 @@ def dyck_paths(draw, min_semilength=0, max_semilength=7):
             chars.append("D")
             downs += 1
     return DyckPath("".join(chars))
+
+
+def uniform_word(rng, s):
+    """A uniform Dyck word of semilength s, by the cycle lemma."""
+    steps = ["U"] * s + ["D"] * (s + 1)
+    rng.shuffle(steps)
+    height = lowest = start = 0
+    for pos, step in enumerate(steps, start=1):
+        height += 1 if step == "U" else -1
+        if height < lowest:
+            lowest, start = height, pos
+    return "".join(steps[start:] + steps[:start])[:-1]

@@ -39,7 +39,7 @@ from shipat.avoidance import (
 from shipat import avoidance, poset
 from shipat.poset import ResourceLimit, contains_pattern, up_set
 
-from conftest import dyck_paths
+from conftest import dyck_paths, uniform_word
 
 TV5_TERMS = [1, 2, 5, 14, 42, 131, 413, 1294, 4007, 12272,
              37277, 112622, 339152, 1019457]
@@ -369,6 +369,10 @@ class TestZeta:
                 z = zeta(p)
                 for k in range(1, 6):
                     assert (height(p) <= k) == (len(return_points(z)) <= k)
+        rng = random.Random(2020)
+        for s in (50, 200, 1000) * 5:
+            p = DyckPath(uniform_word(rng, s))
+            assert height(p) == len(return_points(zeta(p)))
 
 
 class TestFlattening:

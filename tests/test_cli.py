@@ -149,22 +149,15 @@ class TestOthers:
         assert out.startswith("digraph")
         assert '"UUDD" -> "UD";' in out
 
-    def test_poset_node_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHIPAT_MAX_NODES", "3")
-        code, _, err = run_cli(capsys, "poset", "--max-size", "4")
+    def test_poset_node_cap(self, capsys):
+        code, _, err = run_cli(capsys, "poset", "--max-size", "12")
         assert code == 1
         assert "exceed" in err
 
-    def test_poset_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHIPAT_MAX_NODES", "3")
-        code, out, _ = run_cli(capsys, "poset", "--max-size", "3",
-                               "--max-nodes", "100")
-        assert code == 0
-
-    def test_poset_bad_env_names_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHIPAT_MAX_NODES", "abc")
-        assert run_cli(capsys, "poset", "--max-size", "4") == (
-            2, "", "error: SHIPAT_MAX_NODES must be an integer, got 'abc'\n")
+    def test_poset_ignores_the_environment(self, capsys, monkeypatch):
+        plain = run_cli(capsys, "poset", "--max-size", "3")
+        monkeypatch.setenv("SHIPAT_MAX_NODES", "2")
+        assert run_cli(capsys, "poset", "--max-size", "3") == plain
 
     def test_verify_core(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "core", "--n-max", "5")
@@ -235,8 +228,8 @@ MISUSE = [
      "error: word of length 3 has 2 U vs 1 D steps\n"),
     ("poset-max-size", ["poset", "--max-size", "0"], 2,
      "error: max_semilength must be >= 1\n"),
-    ("poset-node-cap", ["poset", "--max-size", "4", "--max-nodes", "3"], 1,
-     "error: 22 nodes exceed the budget of 3\n"),
+    ("poset-node-cap", ["poset", "--max-size", "12"], 1,
+     "error: 290511 nodes exceed the budget of 100000\n"),
     ("region-bad-area", ["region", "--area", "0,7"], 2,
      "error: a_2=7 outside [0, 1]\n"),
     ("region-non-integer", ["region", "--area", "0,x"], 2,
@@ -250,6 +243,25 @@ MISUSE = [
                          ids=[f"argv{i}-{row[0]}" for i, row in enumerate(MISUSE)])
 def test_illegal_counts_exit_2(capsys, argv, code, err):
     assert run_cli(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poset", "--max-size", "3", "--max-nodes", "5"],
+     "unrecognized arguments: --max-nodes 5"),
+    (["count-avoiders", "--family", "te", "--k", "x", "--n-max", "3"],
+     "argument --k: invalid int value: 'x'"),
+], ids=["removed-flag", "bad-int"])
+def test_usage_error_returns_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: shipat ")
+    assert err.endswith(f": error: {message}\n")
+
+
+def test_help_returns_0(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: shipat ")
 
 
 def test_console_entry_point():
@@ -268,10 +280,7 @@ HEAVY = ("concurrent.futures", "multiprocessing", "shipat.verify",
 COLD_PROBE = f"""
 import sys
 from shipat import cli
-try:
-    code = cli.main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
+code = cli.main(sys.argv[1:])
 print(code, *(name for name in {HEAVY!r} if name in sys.modules))
 """
 

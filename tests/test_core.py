@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -30,7 +32,7 @@ from shipat import (
     valleys,
 )
 
-from conftest import dyck_paths
+from conftest import dyck_paths, uniform_word
 
 
 class TestParsing:
@@ -157,6 +159,10 @@ class TestStatistics:
                 assert bounce_path(p).word == bounce_by_walk(p.word)
                 moved += bounce_path(p) != p
         assert moved == 1800  # all but the 255 bounce paths themselves
+        rng = random.Random(2020)
+        for s in (50, 200, 1000) * 5:
+            word = uniform_word(rng, s)
+            assert bounce_path(DyckPath(word)).word == bounce_by_walk(word)
 
     @given(dyck_paths())
     @settings(max_examples=60)

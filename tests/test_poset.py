@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,16 @@ from shipat import (
     upper_covers,
     upper_covers_by_search,
 )
-from shipat.covers import count_lower_covers, count_upper_covers
+from shipat import poset
+from shipat.covers import (
+    ALL_BRANCHES,
+    classify_branch,
+    count_lower_covers,
+    count_upper_covers,
+)
 from shipat.poset import contains_pattern_noprune
 
-from conftest import dyck_paths
+from conftest import dyck_paths, uniform_word
 
 
 class TestDeletions:
@@ -102,27 +110,18 @@ class TestCovers:
         assert cover_collisions(parse_path("UUDD"))
 
 
-def _uniform_word(rng, s):
-    """A uniform Dyck word of semilength s, by the cycle lemma."""
-    steps = ["U"] * s + ["D"] * (s + 1)
-    rng.shuffle(steps)
-    height = lowest = start = 0
-    for pos, step in enumerate(steps, start=1):
-        height += 1 if step == "U" else -1
-        if height < lowest:
-            lowest, start = height, pos
-    return "".join(steps[start:] + steps[:start])[:-1]
+_STEP = {"U": 1, "D": -1}
 
 
-def _nth(word, letter, n):
-    """String index of the n-th (1-based) occurrence of letter."""
-    return [pos for pos, char in enumerate(word) if char == letter][n - 1]
+def _is_dyck(word):
+    """Whether no prefix of a balanced word has more D than U steps."""
+    return min(accumulate(map(_STEP.get, word)), default=0) >= 0
 
 
 def _upper_by_all_pairs(word):
     """Every U/D insertion pair, kept when the word is Dyck and the new D
     is the (i-1)-st or i-th D of the new i-th U."""
-    out = set()
+    seen = set()
     for u_spot in range(len(word) + 1):
         with_u = word[:u_spot] + "U" + word[u_spot:]
         i = with_u[:u_spot].count("U") + 1
@@ -130,40 +129,89 @@ def _upper_by_all_pairs(word):
         for d_spot in range(len(with_u) + 1):
             if d_spot and with_u[d_spot - 1] == "D":
                 k += 1
-            if k in (i - 1, i):
-                q = with_u[:d_spot] + "D" + with_u[d_spot:]
-                try:
-                    out.add(DyckPath(q))
-                except ValueError:
-                    pass
-    return out
+            if k > i:  # k only grows along the word
+                break
+            if k == i - 1 or k == i:
+                seen.add(with_u[:d_spot] + "D" + with_u[d_spot:])
+    return set(filter(_is_dyck, seen))
 
 
 def _lower_by_string_index(word):
-    s = len(word) // 2
+    """Every word left by dropping the i-th U and the k-th D, k in {i-1, i}."""
+    ups = [pos for pos, char in enumerate(word) if char == "U"]
+    downs = [pos for pos, char in enumerate(word) if char == "D"]
     out = set()
-    for i in range(1, s + 1):
+    if len(ups) < 2:  # bounce deletion needs semilength >= 2
+        return out
+    for i, u in enumerate(ups, start=1):
         for k in (i - 1, i):
             if k >= 1:
-                drop = {_nth(word, "U", i), _nth(word, "D", k)}
-                out.add(DyckPath("".join(
-                    c for pos, c in enumerate(word) if pos not in drop)))
+                a, b = sorted((u, downs[k - 1]))
+                out.add(word[:a] + word[a + 1:b] + word[b + 1:])
     return out
+
+
+def _irreducible(inner):
+    return "U" + inner + "D"
+
+
+def _is_special(word):
+    """Whether an irreducible word is a pyramid, a peak run or symmetric."""
+    s = len(word) // 2
+    if word in ("U" * s + "D" * s, "U" + "UD" * (s - 1) + "D"):
+        return True
+    arm = len(word) - len(word.lstrip("U"))
+    body = word[arm:len(word) - arm]
+    return (arm >= 3 and word.endswith("D" * arm)
+            and not word.endswith("D" * (arm + 1))
+            and len(body) >= 2 and body == "DU" * (len(body) // 2))
+
+
+def _shaped_word(rng, branch, s):
+    """A word of the given dispatch branch, of semilength s >= 5 where the
+    branch has more than one word; composite branches glue uniform pieces."""
+    fixed = {"empty": "", "minimum": "UD", "zigzag": "UD" * s,
+             "pyramid": "U" * s + "D" * s,
+             "peak-run": "U" + "UD" * (s - 1) + "D"}
+    if branch in fixed:
+        return fixed[branch]
+    if branch == "symmetric":
+        arm = rng.randint(3, s - 1)
+        return "U" * arm + "DU" * (s - arm) + "D" * arm
+    while True:
+        if branch == "strongly-irreducible":
+            word = _irreducible(_irreducible(uniform_word(rng, s - 2)))
+        elif branch == "irreducible-composite":
+            left = rng.randint(1, s - 2)
+            word = _irreducible(_irreducible(uniform_word(rng, left - 1))
+                                + uniform_word(rng, s - 1 - left))
+        else:
+            left = rng.randint(1, s - 1)
+            word = (_irreducible(uniform_word(rng, left - 1))
+                    + uniform_word(rng, s - left))
+        # redraw a word of an earlier branch: the zigzag or a special family
+        if word != "UD" * s and not _is_special(word):
+            return word
 
 
 class TestKernelAtScale:
     @pytest.mark.parametrize("seed", [11, 22, 33, 44, 55, 66])
     def test_seeded_large_semilength(self, seed):
         rng = random.Random(seed)
-        for _ in range(5):
-            word = _uniform_word(rng, rng.randint(20, 80))
+        words = [uniform_word(rng, rng.randint(20, 80)) for _ in range(5)]
+        shaped = [_shaped_word(rng, branch, rng.randint(20, 200))
+                  for branch in ALL_BRANCHES]
+        census = Counter(classify_branch(DyckPath(w)) for w in shaped)
+        assert census == Counter(ALL_BRANCHES)
+        for word in words + shaped:
             p = DyckPath(word)
-            ups = upper_covers(p)
+            ups = {q.word for q in upper_covers(p)}
             assert ups == _upper_by_all_pairs(word)
             assert len(ups) == count_upper_covers(p)
-            lows = lower_covers(p)
+            lows = {q.word for q in lower_covers(p)}
             assert lows == _lower_by_string_index(word)
-            assert len(lows) == count_lower_covers(p)
+            if word:  # the empty path has no lower cover count
+                assert len(lows) == count_lower_covers(p)
 
 
 class TestContainment:
@@ -226,14 +274,13 @@ class TestHasse:
         for parent, child in hasse(4).edges:
             assert parent.semilength == child.semilength + 1
 
-    def test_resource_limit(self):
+    def test_resource_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(poset, "enumerate_paths",
+                            lambda *args: calls.append(args))
         with pytest.raises(ResourceLimit):
-            hasse(6, max_nodes=10)
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SHIPAT_MAX_NODES", "2")
-        with pytest.raises(ResourceLimit):
-            hasse(3)
+            hasse(12)
+        assert calls == []
 
     def test_dot_golden(self):
         expected = (

@@ -139,6 +139,26 @@ def test_ordering_only_where_declared(cls, kwargs, text, other, bad):
         value < stranger  # noqa: B015
 
 
+def _as_lists(value):
+    """The same value with every tuple, at any depth, made a list."""
+    if isinstance(value, tuple):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+SEQUENCE_ROWS = [row for row in FROZEN
+                 if any(isinstance(arg, tuple) for arg in row[1].values())]
+
+
+@pytest.mark.parametrize("cls, kwargs, text, other, bad", SEQUENCE_ROWS,
+                         ids=[row[0].__name__ for row in SEQUENCE_ROWS])
+def test_sequence_fields_are_stored_as_tuples(cls, kwargs, text, other, bad):
+    value = cls(**kwargs)
+    from_lists = cls(**{name: _as_lists(arg) for name, arg in kwargs.items()})
+    assert from_lists == value and hash(from_lists) == hash(value)
+    assert repr(from_lists) == text
+
+
 def test_audit_report_is_mutable_and_unhashable():
     report = AuditReport(3)
     assert report == AuditReport(max_semilength=3, paths_checked=0,
