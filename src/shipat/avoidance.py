@@ -271,12 +271,13 @@ def zeta(p: DyckPath) -> DyckPath:
 
     Reading the area vector once per level j, entries equal to j emit a U
     and entries equal to j - 1 emit a D; concatenating the level words gives
-    a path of the same semilength.  The map is a bijection exchanging the
-    height bound for the bounce return-point bound.
+    a path of the same semilength.  No level above max(area) + 1 emits a
+    step, so the cost is O(s * height).  The map is a bijection exchanging
+    the height bound for the bounce return-point bound.
     """
     area = area_vector(p)
     chunks = []
-    for j in range(0, len(area) + 1):
+    for j in range(max(area, default=-1) + 2):
         for a in area:
             if a == j:
                 chunks.append("U")

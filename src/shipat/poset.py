@@ -9,14 +9,17 @@ Bounce deletion needs semilength >= 2, so UD has no lower covers and no
 path lies above the empty path in the pattern order; :func:`upper_covers`
 of the empty path still lists its single insertion, UD.
 
-All cover generation goes through one word kernel: each deletion child is
-cut out of the word once per pair of step runs, and bounce insertions are
-enumerated directly, placing the new D only where it becomes D_{i-1} or D_i
-of the new U_i and where the word stays a Dyck word.  Child words are
-collected in a set and only then turned into (validated) :class:`DyckPath`
-values, so a cover set costs O(s) per candidate child instead of a search
-over all O(s^2) insertion pairs; :func:`upper_covers_by_search` keeps that
-search as the independent oracle.
+All cover generation goes through one word kernel.  Each deletion child is
+cut out of the word once per pair of step runs.  Each insertion child is
+built once per U class and D run: the new U goes once into each run of U
+steps that starts the word or follows a D, and the new D goes once at the
+start of its legal range, where it becomes D_{i-1} or D_i of the new U_i
+and the word stays a Dyck word, and once after each U step in that range,
+since a D placed anywhere in a run of D steps gives the same word.  Child
+words are collected in a set and only then turned into (validated)
+:class:`DyckPath` values, so a cover set costs O(s) per candidate child
+instead of a search over all O(s^2) insertion pairs;
+:func:`upper_covers_by_search` keeps that search as the independent oracle.
 
 Containment has two stateless routes on the same kernel: a downward search
 from the host over deletion words (:func:`contains_pattern`), and the
@@ -81,39 +84,46 @@ def _drop_two(word: str, a: int, b: int) -> str:
 
 
 def _insertion_words(word: str) -> set[str]:
-    """Every word that deletes to ``word`` by one bounce deletion.
+    """Every word that deletes to ``word`` by one bounce deletion, each
+    built once per U class and D run of its parent.
 
-    The new U goes at each position ``u_spot`` and becomes U_i.  The new D
-    must become D_{i-1} or D_i, so it goes after D_{i-2} and at or before
-    D_i of the word with the U inserted.  It must also go after the last
-    return to the diagonal at or before ``u_spot``, or some prefix would
-    dip below the diagonal; every other placement gives a Dyck word.
+    A new U at ``u_spot`` becomes U_i.  The new D must become D_{i-1} or
+    D_i, so it goes after D_{i-2} and at or before D_i of the word with the
+    U inserted.  It must also go after the last return to the diagonal at
+    or before ``u_spot``, or some prefix would dip below the diagonal;
+    every other placement gives a Dyck word.
+
+    A U class is the run of U steps from ``a`` (0 or just after a D) up to
+    the next D at ``e``.  Every ``u_spot`` in a..e gives the same word with
+    the U in and the same last return, and their ranges for the new D chain
+    into one, from after D_{i0-2} to D_{i1}, where the new U is U_{i0} at a
+    and U_{i1} at e.  A D placed anywhere in a D run gives the same word, so
+    the new D goes only at the start of that range and after each U in it.
+    The start uses the position of D_{i0-2} in the word without the U:
+    where that D lies after ``a``, the new D goes just before it instead of
+    just after, which gives the same word.
     """
     n = len(word)
     downs = _step_positions(word)[1]
     s = len(downs)
     out: set[str] = set()
-    ups_before = 0
-    height = 0
-    last_zero = 0
-    for u_spot in range(n + 1):
-        if u_spot:
-            if word[u_spot - 1] == "U":
-                ups_before += 1
-                height += 1
-            else:
-                height -= 1
-                if height == 0:
-                    last_zero = u_spot
-        i = ups_before + 1
-        # Positions of D_{i-2} and D_i once the U is in; D_j for j < 1 sits
-        # before the word and D_{s+1} after it.  D_i follows the old U_i,
-        # which is at or after u_spot, so it always moves one place right.
-        lo = -1 if i <= 2 else downs[i - 3] + (downs[i - 3] >= u_spot)
-        hi = n + 1 if i > s else downs[i - 1] + 1
-        with_u = word[:u_spot] + "U" + word[u_spot:]
-        for d_spot in range(max(lo, last_zero) + 1, hi + 1):
-            out.add(with_u[:d_spot] + "D" + with_u[d_spot:])
+    a = last_zero = 0
+    # class j starts at a, 0 or just after the j-th D, and ends at the next
+    # D or the end of the word, e; a - j U steps and j D steps come before
+    # a, so the path is back on the diagonal at a iff a == 2j
+    for j, e in enumerate([*downs, n]):
+        if a == 2 * j:
+            last_zero = a
+        i0, i1 = a - j + 1, e - j + 1
+        # D_k for k < 1 sits before the word and D_{s+1} after it
+        lo = max(-1 if i0 <= 2 else downs[i0 - 3], last_zero)
+        hi = n + 1 if i1 > s else downs[i1 - 1] + 1
+        with_u = word[:a] + "U" + word[a:]
+        out.add(with_u[:lo + 1] + "D" + with_u[lo + 1:])
+        for d_spot in range(lo + 2, hi + 1):
+            if with_u[d_spot - 1] == "U":
+                out.add(with_u[:d_spot] + "D" + with_u[d_spot:])
+        a = e + 1
     return out
 
 
@@ -324,13 +334,18 @@ class HasseGraph(_Frozen):
 
 def hasse(max_semilength: int) -> HasseGraph:
     """Build the cover graph on all paths of semilength 1..max_semilength;
-    more than :data:`HASSE_MAX_NODES` paths raise :class:`ResourceLimit`."""
+    more than :data:`HASSE_MAX_NODES` paths raise :class:`ResourceLimit`,
+    counted only up to the first semilength that passes the cap."""
     if max_semilength < 1:
         raise ValueError("max_semilength must be >= 1")
-    total = sum(catalan(s) for s in range(1, max_semilength + 1))
-    if total > HASSE_MAX_NODES:
-        raise ResourceLimit(f"{total} nodes exceed the budget of "
-                            f"{HASSE_MAX_NODES}")
+    total = 0
+    for s in range(1, max_semilength + 1):
+        total += catalan(s)
+        if total > HASSE_MAX_NODES:
+            upto = ("" if s == max_semilength
+                    else f" up to semilength {s} already")
+            raise ResourceLimit(f"{total} nodes{upto} exceed the budget of "
+                                f"{HASSE_MAX_NODES}")
     levels = [tuple(enumerate_paths(s)) for s in range(1, max_semilength + 1)]
     edges = []
     for level in levels[1:]:

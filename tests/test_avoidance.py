@@ -8,6 +8,7 @@ from shipat import (
     EMPTY_PATH,
     DyckPath,
     UnsupportedFamily,
+    area_vector,
     avoids,
     avoids_characterized,
     ballot_count,
@@ -350,7 +351,27 @@ class TestClosedAtScale:
                         (tag, k, n)
 
 
+def _zeta_every_level(p):
+    """The zeta word read off the area vector at every level j = 0..s."""
+    area = area_vector(p)
+    chunks = []
+    for j in range(0, len(area) + 1):
+        for a in area:
+            if a == j:
+                chunks.append("U")
+            elif a == j - 1:
+                chunks.append("D")
+    return "".join(chunks)
+
+
 class TestZeta:
+    def test_levels_above_the_height_emit_nothing(self):
+        paths = [p for s in range(11) for p in enumerate_paths(s)]
+        rng = random.Random(2026)
+        paths += [DyckPath(uniform_word(rng, s)) for s in (1000, 5000)]
+        for p in paths:
+            assert zeta(p).word == _zeta_every_level(p)
+
     def test_fixed_points(self):
         assert zeta(parse_path("UD")).word == "UD"
 

@@ -193,6 +193,8 @@ class TestOthers:
 
 
 CAP = "error: brute avoider counting capped at size 12\n"
+NODE_CAP = ("error: 290511 nodes up to semilength 12 already exceed the "
+            "budget of 100000\n")
 
 # Every error path of every command: (label, argv, exit code, exact stderr).
 MISUSE = [
@@ -236,6 +238,8 @@ MISUSE = [
      "error: --area needs comma-separated integers, got '0,x'\n"),
     ("region-one-entry", ["region", "--area", "0"], 2,
      "error: region emission needs a tableau of size >= 1\n"),
+    ("poset-node-cap-13", ["poset", "--max-size", "13"], 1, NODE_CAP),
+    ("poset-node-cap-7300", ["poset", "--max-size", "7300"], 1, NODE_CAP),
 ]
 
 

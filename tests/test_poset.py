@@ -13,6 +13,7 @@ from shipat import (
     ResourceLimit,
     avoids,
     bounce_delete,
+    catalan,
     contains_pattern,
     cover_collisions,
     enumerate_paths,
@@ -194,6 +195,28 @@ def _shaped_word(rng, branch, s):
             return word
 
 
+class TestInsertionKernel:
+    """Each insertion child is built once per U class and D run; the
+    all-pairs oracle tries every U and D position on its own."""
+
+    def test_exhaustive(self):
+        for s in range(9):
+            for p in enumerate_paths(s):
+                ups = {q.word for q in upper_covers(p)}
+                assert ups == _upper_by_all_pairs(p.word)
+
+    @pytest.mark.parametrize("word", [
+        "U" * 300 + "D" * 300,
+        "UD" * 300,
+        "U" * 150 + "UD" * 150 + "D" * 150,
+        "U" + "UD" * 299 + "D",
+        "U" * 298 + "UD" * 2 + "D" * 298,
+    ], ids=["pyramid", "zigzag", "arms-150", "arms-1", "arms-298"])
+    def test_longest_and_shortest_runs(self, word):
+        ups = {q.word for q in upper_covers(DyckPath(word))}
+        assert ups == _upper_by_all_pairs(word)
+
+
 class TestKernelAtScale:
     @pytest.mark.parametrize("seed", [11, 22, 33, 44, 55, 66])
     def test_seeded_large_semilength(self, seed):
@@ -281,6 +304,15 @@ class TestHasse:
         with pytest.raises(ResourceLimit):
             hasse(12)
         assert calls == []
+
+    def test_resource_limit_stops_at_the_cap(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(poset, "catalan",
+                            lambda s: sizes.append(s) or catalan(s))
+        with pytest.raises(ResourceLimit, match="^290511 nodes up to "
+                           "semilength 12 already exceed the budget"):
+            hasse(10 ** 6)
+        assert sizes == list(range(1, 13))
 
     def test_dot_golden(self):
         expected = (
