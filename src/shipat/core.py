@@ -153,8 +153,14 @@ class DyckPath(_Ordered):
 
     def __init__(self, word: str = "") -> None:
         _validate_word(word)
-        # the hottest constructor of the package sets its slot directly
-        object.__setattr__(self, "word", word)
+        self._fill(word)
+
+    @classmethod
+    def _trusted(cls, word: str) -> DyckPath:
+        """The path of a word shipat built as a Dyck word itself, unchecked."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "word", word)
+        return path
 
     def __hash__(self) -> int:
         # the base's field-tuple hash without its generic lookups: every
@@ -237,7 +243,7 @@ def _paths_after(s: int, prefix: str, ups: int, downs: int) -> Iterator[DyckPath
     # completion; the stream ends when that D would lie inside the prefix.
     word = prefix + "D" * (ups - downs) + "UD" * (s - ups)
     while True:
-        yield DyckPath(word)
+        yield DyckPath._trusted(word)
         last_up = word.rfind("U")
         t = word.rfind("D", 0, last_up)
         if t < len(prefix):

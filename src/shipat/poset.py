@@ -16,10 +16,10 @@ steps that starts the word or follows a D, and the new D goes once at the
 start of its legal range, where it becomes D_{i-1} or D_i of the new U_i
 and the word stays a Dyck word, and once after each U step in that range,
 since a D placed anywhere in a run of D steps gives the same word.  Child
-words are collected in a set and only then turned into (validated)
-:class:`DyckPath` values, so a cover set costs O(s) per candidate child
-instead of a search over all O(s^2) insertion pairs;
-:func:`upper_covers_by_search` keeps that search as the independent oracle.
+words are Dyck by construction, collected in a set and turned into paths
+unchecked, so a cover set costs O(s) per candidate child instead of a
+search over all O(s^2) insertion pairs; :func:`upper_covers_by_search`
+keeps that search, validating each candidate, as the independent oracle.
 
 Containment has two stateless routes on the same kernel: a downward search
 from the host over deletion words (:func:`contains_pattern`), and the
@@ -36,7 +36,6 @@ from .core import (
     DyckPath,
     _Frozen,
     _RUNS,
-    _validate_word,
     _word_area_vector,
     _word_height,
     catalan,
@@ -180,7 +179,7 @@ def _lower_cover_words(word: str) -> set[str]:
 
 def lower_covers(p: DyckPath) -> frozenset[DyckPath]:
     """Distinct results of all bounce deletions (empty for semilength <= 1)."""
-    return frozenset(map(DyckPath, _lower_cover_words(p.word)))
+    return frozenset(map(DyckPath._trusted, _lower_cover_words(p.word)))
 
 
 def cover_collisions(p: DyckPath) -> dict[DyckPath, list[Deletion]]:
@@ -226,7 +225,7 @@ def upper_covers(p: DyckPath) -> frozenset[DyckPath]:
     path in the pattern order; its upper covers list only its single
     insertion, UD, which :func:`upper_covers_by_search` does not return.
     """
-    return frozenset(map(DyckPath, _insertion_words(p.word)))
+    return frozenset(map(DyckPath._trusted, _insertion_words(p.word)))
 
 
 def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
@@ -290,7 +289,7 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
     that contain q, for s = 0..s_max.
 
     Each level above q is every word one bounce insertion above the level
-    before.  Every distinct word of every level is validated once.
+    before; the kernel builds only Dyck words, so none is checked again.
     """
     levels: list[frozenset[str]] = [frozenset()] * (s_max + 1)
     if q.semilength <= s_max:
@@ -298,10 +297,7 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
     # No path of semilength >= 1 contains the empty path: UD has no lower
     # covers, although the single insertion into the empty word is UD.
     for s in range(q.semilength + 1, s_max + 1 if q.word else 0):
-        words = set().union(*map(_insertion_words, levels[s - 1]))
-        for word in words:
-            _validate_word(word)
-        levels[s] = frozenset(words)
+        levels[s] = frozenset().union(*map(_insertion_words, levels[s - 1]))
     return levels
 
 

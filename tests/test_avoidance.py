@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from shipat import (
     EMPTY_PATH,
     DyckPath,
+    ShiTableau,
     UnsupportedFamily,
     area_vector,
     avoids,
@@ -26,6 +27,7 @@ from shipat import (
     parse_path,
     pattern,
     return_points,
+    tableau_to_path,
     wilf_check,
     zeta,
 )
@@ -364,7 +366,45 @@ def _zeta_every_level(p):
     return "".join(chunks)
 
 
+def _zeta_inverse(word):
+    """The path whose zeta image is ``word``, rebuilt level by level.
+
+    Level 0 of the image is the first run of U steps, one per area entry 0.
+    Level j interleaves the entries equal to j (U) with those equal to
+    j - 1 (D), in area order, and ends before the D that opens level j + 1.
+    An entry j follows an entry j - 1 or j, so each U of level j goes
+    right after the entry j - 1 whose D it follows: one pass over the area
+    per level, O(s * height) in all.
+    """
+    pos = len(word) - len(word.lstrip("U"))
+    area, j = [0] * pos, 1
+    while pos < len(word):
+        merged = []
+        for a in area:
+            merged.append(a)
+            if a == j - 1:
+                assert word[pos] == "D"
+                pos += 1
+                while pos < len(word) and word[pos] == "U":
+                    merged.append(j)
+                    pos += 1
+        area, j = merged, j + 1
+    return tableau_to_path(ShiTableau(tuple(area)))
+
+
 class TestZeta:
+    def test_inverse_round_trips(self):
+        # the inverse shares nothing with zeta beyond the level rule
+        for p in (p for s in range(1, 9) for p in enumerate_paths(s)):
+            assert _zeta_inverse(zeta(p).word) == p
+            assert zeta(_zeta_inverse(p.word)) == p
+        rng = random.Random(1980)
+        for s in (1000, 5000):
+            p = DyckPath(uniform_word(rng, s))
+            assert _zeta_inverse(zeta(p).word) == p
+            image = DyckPath(uniform_word(rng, s))
+            assert zeta(_zeta_inverse(image.word)) == image
+
     def test_levels_above_the_height_emit_nothing(self):
         paths = [p for s in range(11) for p in enumerate_paths(s)]
         rng = random.Random(2026)

@@ -240,6 +240,8 @@ MISUSE = [
      "error: region emission needs a tableau of size >= 1\n"),
     ("poset-node-cap-13", ["poset", "--max-size", "13"], 1, NODE_CAP),
     ("poset-node-cap-7300", ["poset", "--max-size", "7300"], 1, NODE_CAP),
+    ("verify-cap", ["verify", "--suite", "all", "--n-max", "30"], 1,
+     "error: verify capped at semilength 10\n"),
 ]
 
 

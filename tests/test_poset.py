@@ -26,6 +26,7 @@ from shipat import (
     upper_covers_by_search,
 )
 from shipat import poset
+from shipat.avoidance import FAMILY_TAGS, pattern
 from shipat.covers import (
     ALL_BRANCHES,
     classify_branch,
@@ -57,7 +58,8 @@ class TestDeletions:
             bounce_delete(parse_path("UD"), Deletion(1, 1))
 
     def test_deletions_always_valid(self):
-        # the (i, i-1) variant is re-validated; on words it never fails
+        # the (i, i-1) variant never dips below the diagonal; the kernel
+        # words are not checked again, so TestTrustedWords re-validates them
         for s in range(2, 8):
             for p in enumerate_paths(s):
                 for child in lower_covers(p):
@@ -233,8 +235,28 @@ class TestKernelAtScale:
             assert len(ups) == count_upper_covers(p)
             lows = {q.word for q in lower_covers(p)}
             assert lows == _lower_by_string_index(word)
+            # the kernel's words, re-validated (see TestTrustedWords)
+            assert {DyckPath(w).word for w in ups | lows} == ups | lows
             if word:  # the empty path has no lower cover count
                 assert len(lows) == count_lower_covers(p)
+
+
+class TestTrustedWords:
+    """enumerate_paths, lower_covers and upper_covers turn their own words
+    into paths unchecked, and up_set keeps its words unchecked; every such
+    word passes the validating constructor all the same.  TestKernelAtScale
+    does the same for the covers of its corpus, which it builds anyway."""
+
+    def test_trusted_words_are_dyck(self):
+        paths = [p for s in range(10) for p in enumerate_paths(s)]
+        words = {p.word for p in paths}
+        for p in paths:
+            if p.semilength <= 8:
+                words.update(q.word for q in lower_covers(p) | upper_covers(p))
+        for tag in FAMILY_TAGS:
+            for k in (2, 3, 4):
+                words.update(*up_set(pattern(tag, k), 9))
+        assert {DyckPath(word).word for word in words} == words
 
 
 class TestContainment:
