@@ -18,8 +18,11 @@ against :func:`count_avoiders_brute`, which reads |Av_n(q)| = C(n+1) -
 containment search host by host.
 
 All counting here is exact integer arithmetic.  Bounded-height counts are
-strip counts, and every strip count is one reflection-principle sum whose
-terms are exact integer divisions with a zero remainder asserted.
+strip counts.  A single strip count is one reflection-principle sum whose
+terms are exact integer divisions with a zero remainder asserted; the
+tv/tor convolution needs a strip count for every endpoint of a band, and
+reads them all off one column-by-column walk of the strip, each column a
+running sum of the one before.
 """
 
 from __future__ import annotations
@@ -322,6 +325,11 @@ def count_avoiders_closed(tag: str, k: int, n: int) -> int:
     prefixes with strip-confined suffix paths (k <= l < n).  At size two
     tg sits in the tv/tor Wilf class instead, with C(n+1, 2) + 1 avoiders,
     which is what the tv formula evaluates to there.
+
+    The suffix counts f(l - h, l, k - 1) and the full-size count
+    f(n, n, k - 1) all lie in the strip x <= y <= x + k - 1.  One walk over
+    its columns x = 0..n gives every one of them, so the convolution costs
+    O(n * k) integer additions instead of n * k reflection sums.
     """
     _check_family(tag, k)
     if n < 0:
@@ -330,11 +338,21 @@ def count_avoiders_closed(tag: str, k: int, n: int) -> int:
         return bounded_height_count(n + 1, k)
     total = sum(ballot_count(n, ell) for ell in range(0, min(k - 1, n) + 1))
     if n >= k:
-        total += f_count(n, n, k - 1)
-        for ell in range(k, n):
-            for h in range(0, k):
-                total += (math.comb(n - ell + h - 1, h)
-                          * f_count(ell - h, ell, k - 1))
+        # col[h] counts the paths to (x, x + h), f(x, x + h, k - 1): a path
+        # enters (x, x + h) from (x - 1, x + h) or from (x, x + h - 1), so
+        # each column is a running sum of the one before.  The term of row
+        # l = x + h is C(n - l + h - 1, h) col[h], and at x = n col[0] is
+        # f(n, n, k - 1).
+        col = [1] * k
+        for x in range(1, n + 1):
+            run = 0
+            for h in range(k - 1):
+                run += col[h + 1]
+                col[h] = run
+            col[k - 1] = run
+            for h in range(max(0, k - x), min(k, n - x)):
+                total += math.comb(n - x - 1, h) * col[h]
+        total += col[0]
     return total
 
 

@@ -103,7 +103,7 @@ def _insertion_words(word: str) -> set[str]:
     just after, which gives the same word.
     """
     n = len(word)
-    downs = _step_positions(word)[1]
+    downs = [pos for pos, char in enumerate(word) if char == "D"]
     s = len(downs)
     out: set[str] = set()
     a = last_zero = 0
