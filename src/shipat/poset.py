@@ -21,10 +21,12 @@ unchecked, so a cover set costs O(s) per candidate child instead of a
 search over all O(s^2) insertion pairs; :func:`upper_covers_by_search`
 keeps that search, validating each candidate, as the independent oracle.
 
-Containment has two stateless routes on the same kernel: a downward search
-from the host over deletion words (:func:`contains_pattern`), and the
-up-set of a pattern swept level by level by bounce insertions
-(:func:`up_set`), which answers every host of a semilength at once.
+Containment has two stateless routes.  :func:`contains_pattern` reads the
+host once from left to right, looking for an interleaved embedding of the
+pattern; it builds no cover and shares no kernel with the rest of the
+module.  :func:`up_set` sweeps the up-set of a pattern level by level by
+bounce insertions on the cover kernel and answers every host of a
+semilength at once.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .core import (
     DyckPath,
     _Frozen,
     _RUNS,
-    _word_area_vector,
-    _word_height,
     catalan,
     enumerate_paths,
 )
@@ -191,24 +191,29 @@ def cover_collisions(p: DyckPath) -> dict[DyckPath, list[Deletion]]:
     return {child: ds for child, ds in hits.items() if len(ds) > 1}
 
 
-def _insertions(p: DyckPath) -> Iterator[DyckPath]:
+def _insertions(p: DyckPath) -> set[DyckPath]:
     """Every path made by inserting one U and one D anywhere in p.
 
-    Tries all O(s^2) insertion pairs and yields the path of every word that
-    the validating constructor accepts; the same path may come from several
-    pairs.  Kept only for the independent oracle
-    :func:`upper_covers_by_search`, so it shares nothing with
+    Builds the words of all O(s^2) insertion pairs, then turns each
+    distinct word into a path through the validating constructor, which
+    rejects the words that are not Dyck.  Kept only for the independent
+    oracle :func:`upper_covers_by_search`, so it shares nothing with
     :func:`_insertion_words`.
     """
     word = p.word
     n = len(word)
+    words: set[str] = set()
     for u_spot in range(n + 1):
         with_u = word[:u_spot] + "U" + word[u_spot:]
-        for d_spot in range(n + 2):
-            try:
-                yield DyckPath(with_u[:d_spot] + "D" + with_u[d_spot:])
-            except ValueError:
-                continue
+        words.update(with_u[:d_spot] + "D" + with_u[d_spot:]
+                      for d_spot in range(n + 2))
+    paths: set[DyckPath] = set()
+    for candidate in words:
+        try:
+            paths.add(DyckPath(candidate))
+        except ValueError:
+            continue
+    return paths
 
 
 def upper_covers(p: DyckPath) -> frozenset[DyckPath]:
@@ -234,8 +239,7 @@ def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
     Independent of the insertion-index reasoning in :func:`upper_covers`;
     used to cross-check it.
     """
-    candidates = set(_insertions(p))
-    return frozenset(q for q in candidates
+    return frozenset(q for q in _insertions(p)
                      if p.word in _lower_cover_words(q.word))
 
 
@@ -244,35 +248,84 @@ def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
 # ---------------------------------------------------------------------------
 
 
-def _reaches(host: str, target: str, prune: bool) -> bool:
-    """Depth-first search for ``target`` below ``host``; with ``prune``, a
-    word other than the target is not expanded once its semilength is at
-    most the target's or its height or total area is below the target's."""
-    target_h = _word_height(target)
-    target_area = sum(_word_area_vector(target))
-    seen, stack = {host}, [host]
-    while stack:
-        word = stack.pop()
-        if word == target:
-            return True
-        if prune and (len(word) <= len(target)
-                      or _word_height(word) < target_h
-                      or sum(_word_area_vector(word)) < target_area):
-            continue
-        for child in _lower_cover_words(word) - seen:
-            seen.add(child)
-            stack.append(child)
-    return False
-
-
 def contains_pattern(p: DyckPath, q: DyckPath) -> bool:
     """True iff q is reachable from p by repeated bounce deletions.
 
-    Reflexive by convention (zero deletions).  An iterative search downward
-    from p over words, which keeps no state between calls and prunes on
-    semilength, height and total area: no bounce deletion increases them.
+    Reflexive by convention (zero deletions); the empty path lies below
+    itself alone.  For s(q) = k >= 1 this holds iff p has U indices
+    a_1 < ... < a_k and D indices b_1 < ... < b_k with
+    a_1 <= b_1 < a_2 <= b_2 < ... < a_k <= b_k such that keeping exactly
+    those steps of p spells q.
+
+    *Only if.*  p embeds itself with a_i = b_i = i.  If p' comes from p by
+    deleting U_x and D_y, y in {x - 1, x}, every U index u of p' maps to u
+    or u + 1 in p as u < x or not, and every D index to d or d + 1 as d < y
+    or not; since y and x differ by at most one, both maps keep
+    a_i <= b_i and b_i < a_{i+1}, so an embedding of q in p' is one in p.
+
+    *If.*  With KU(t) and KD(t) the kept U and D steps of index at most t,
+    the chain says KU(t) - KD(t) is 0 or 1, and U_{t+1} is not kept where
+    it is 1.  Sort the deleted indices, U indices x_j and D indices y_j.
+    Up to any index t the deleted D steps outnumber the deleted U steps by
+    KU(t) - KD(t), so y_j <= x_j, and where that is 1 at t = y_j, U_{t+1}
+    is the next deleted U: x_j - 1 <= y_j.  Delete the pairs in decreasing
+    x_j: every pair deleted earlier lies above, so each pair still has its
+    original labels when its turn comes and each step is a legal
+    delta(x_j, y_j), which leaves exactly the kept steps.
+
+    The search reads p once, left to right, depth first, on states
+    (i, j, e, pend): i steps of p read, j steps of q matched, e = KU(t) -
+    KD(t) for the t steps D read, and pend the keep bits of the U steps
+    read whose same-index D lies ahead, oldest in bit 0.  The states are
+    deduplicated in a set local to the call.  The set bits of pend number
+    the height of the matched prefix of q minus e, so there are at most
+    O(|p| * |q| * C(height(p), <= height(q))) states: polynomial for a fixed
+    pattern height, still exponential in height(q) in the worst case: a
+    uniform host of semilength 200 against a uniform pattern of semilength
+    50 runs out of 1.5 GB.  The search is iterative: no host is too deep
+    for it.
     """
-    return _reaches(p.word, q.word, prune=True)
+    host, target = p.word, q.word
+    if not target:
+        return not host
+    n, m = len(host), len(target)
+    # need[i]: the start of the longest suffix of q that is a subsequence
+    # of host[i:]; a state with j below it is dead
+    need = [m] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        j = need[i + 1]
+        need[i] = j - 1 if j and host[i] == target[j - 1] else j
+    heights = [0, *accumulate(1 if char == "U" else -1 for char in host)]
+    seen: set[tuple[int, int, int, int]] = set()
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        i, j, e, pend = state
+        # need[n] = m > j, so no state reads past the end of the host
+        if j < need[i]:
+            continue
+        if host[i] == "U":
+            stack.append((i + 1, j, e, pend))
+            # at height 0 this U is U_{t+1}, barred while e = 1
+            if target[j] == "U" and (heights[i] or not e):
+                stack.append((i + 1, j + 1, e, pend | 1 << heights[i]))
+        elif e or pend & 1:
+            # D_t pops the keep bit of U_t; e = 1 bars a kept U_{t+1}, so
+            # e and the bit are never both set.  Kept, D_t closes the open
+            # pair; dropped, it leaves one open and bars U_{t+1}.
+            rest = pend >> 1
+            if not rest & 1:
+                stack.append((i + 1, j, 1, rest))
+            if target[j] == "D":
+                if j + 1 == m:  # the rest of the host is dropped
+                    return True
+                stack.append((i + 1, j + 1, 0, rest))
+        else:  # nothing open, so D_t is dropped
+            stack.append((i + 1, j, 0, pend >> 1))
+    return False
 
 
 def avoids(p: DyckPath, q: DyckPath) -> bool:
@@ -280,8 +333,18 @@ def avoids(p: DyckPath, q: DyckPath) -> bool:
 
 
 def contains_pattern_noprune(p: DyckPath, q: DyckPath) -> bool:
-    """Reference containment search without pruning (for soundness tests)."""
-    return _reaches(p.word, q.word, prune=False)
+    """Reference containment: an unpruned depth-first search over every
+    word below p by bounce deletions, independent of the scan in
+    :func:`contains_pattern` (for soundness tests)."""
+    seen, stack = {p.word}, [p.word]
+    while stack:
+        word = stack.pop()
+        if word == q.word:
+            return True
+        for child in _lower_cover_words(word) - seen:
+            seen.add(child)
+            stack.append(child)
+    return False
 
 
 def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:

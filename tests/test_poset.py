@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import accumulate
 
@@ -26,7 +27,7 @@ from shipat import (
     upper_covers_by_search,
 )
 from shipat import poset
-from shipat.avoidance import FAMILY_TAGS, pattern
+from shipat.avoidance import FAMILY_TAGS, avoids_characterized, pattern
 from shipat.covers import (
     ALL_BRANCHES,
     classify_branch,
@@ -301,6 +302,89 @@ class TestContainment:
             p, q, r = (rng.choice(paths) for _ in range(3))
             if contains_pattern(p, q) and contains_pattern(q, r):
                 assert contains_pattern(p, r)
+
+
+def _bounded_word(rng, s, top):
+    """A random Dyck word of semilength s and height at most ``top``: it
+    avoids te of size ``top``."""
+    steps, ups, y = [], 0, 0
+    while len(steps) < 2 * s:
+        if ups < s and y < top and (not y or rng.random() < 0.5):
+            steps.append("U")
+            ups, y = ups + 1, y + 1
+        else:
+            steps.append("D")
+            y -= 1
+    return "".join(steps)
+
+
+def _few_bounces_word(rng, s, bounces):
+    """A random Dyck word of semilength s whose bounce path returns to the
+    diagonal ``bounces`` times: it avoids tf of size ``bounces``.
+
+    The bounce path rises r_1, r_2, ... in turn, so the word is U^{r_1}
+    and then, for each i, the r_i steps D that close rise i shuffled with
+    the r_{i+1} steps U of the next rise, a D first.
+    """
+    cuts = sorted(rng.sample(range(1, s), bounces - 1))
+    rises = [b - a for a, b in zip([0, *cuts], [*cuts, s])] + [0]
+    word = "U" * rises[0]
+    for downs, ups in zip(rises, rises[1:]):
+        block = ["D"] * (downs - 1) + ["U"] * ups
+        rng.shuffle(block)
+        word += "D" + "".join(block)
+    return word
+
+
+class TestContainmentScan:
+    def test_matches_word_search_on_samples(self):
+        # every pair at s <= 6 takes the word search 3.6 s; the down-set
+        # test below covers every such pair against the same kernel
+        levels = [list(enumerate_paths(s)) for s in range(7)]
+        rng = random.Random(14)
+        for _ in range(4000):
+            p = rng.choice(levels[rng.randint(1, 6)])
+            q = rng.choice(levels[rng.randint(0, p.semilength)])
+            assert contains_pattern(p, q) == contains_pattern_noprune(p, q), (p, q)
+
+    def test_accepts_exactly_the_down_set(self):
+        down = {}
+        paths = [p for s in range(7) for p in enumerate_paths(s)]
+        for p in paths:  # by semilength, so every child comes first
+            down[p.word] = {p.word}.union(
+                *(down[child] for child in poset._lower_cover_words(p.word)))
+        for p in paths:
+            accepted = {q.word for q in paths if contains_pattern(p, q)}
+            assert accepted == down[p.word], p
+
+    def test_families_at_large_semilength(self):
+        # the few-bounce hosts stay short: tall hosts keep many pending
+        # U steps apart, and the scan's states grow with the host's height
+        rng = random.Random(2020)
+        start = time.monotonic()
+        for k in range(2, 6):
+            te_free = DyckPath(_bounded_word(rng, 400, k))
+            tf_free = DyckPath(_few_bounces_word(rng, 120, k))
+            assert avoids_characterized(te_free, "te", k)
+            assert avoids_characterized(tf_free, "tf", k)
+            # below the height k of the tg, tv and tor patterns
+            low = DyckPath(_bounded_word(rng, 400, k - 1))
+            hosts = [DyckPath(uniform_word(rng, 100)),
+                     DyckPath(uniform_word(rng, 400)), te_free, tf_free, low]
+            for p in hosts:
+                for tag in FAMILY_TAGS:
+                    assert (contains_pattern(p, pattern(tag, k))
+                            != avoids_characterized(p, tag, k)), (p, tag, k)
+        # About 0.2 s on 2 vCPUs.  Letting a kept U_{t+1} through while
+        # e = 1 changes no answer here but takes over a minute: barring it
+        # is what keeps the states few.
+        assert time.monotonic() - start < 10
+
+    def test_hosts_beyond_the_word_search(self):
+        wide = DyckPath("U" * 200 + "UD" * 200 + "D" * 200)
+        assert not contains_pattern(wide, parse_path("UDUDUD"))
+        pyramid = DyckPath("U" * 1500 + "D" * 1500)
+        assert not contains_pattern(pyramid, parse_path("UDUD"))
 
 
 class TestHasse:
