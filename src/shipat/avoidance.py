@@ -47,6 +47,12 @@ FAMILY_TAGS = ("te", "tg", "tor", "tv", "tf")
 
 BRUTE_MAX_TABLEAU_SIZE = 12
 
+# The largest tableau size of a closed avoider count.  A count of size n is
+# at most C(n + 1), so every row stays at most C(2001), about 1,200 digits,
+# far from the 4,300 digits at which Python stops printing an int; on 2
+# vCPUs the tv_5 rows to n = 2,000 take about 7 s.
+CLOSED_MAX_TABLEAU_SIZE = 2_000
+
 
 class UnsupportedFamily(ValueError):
     """A family tag outside te/tg/tor/tv/tf."""
@@ -329,11 +335,16 @@ def count_avoiders_closed(tag: str, k: int, n: int) -> int:
     The suffix counts f(l - h, l, k - 1) and the full-size count
     f(n, n, k - 1) all lie in the strip x <= y <= x + k - 1.  One walk over
     its columns x = 0..n gives every one of them, so the convolution costs
-    O(n * k) integer additions instead of n * k reflection sums.
+    O(n * k) integer additions instead of n * k reflection sums.  Sizes
+    above :data:`CLOSED_MAX_TABLEAU_SIZE` raise
+    :class:`~shipat.poset.ResourceLimit`.
     """
     _check_family(tag, k)
     if n < 0:
         raise ValueError("tableau size must be >= 0")
+    if n > CLOSED_MAX_TABLEAU_SIZE:
+        raise ResourceLimit("closed avoider counting capped at size "
+                            f"{CLOSED_MAX_TABLEAU_SIZE}")
     if tag in ("te", "tf") or (tag == "tg" and k >= 3):
         return bounded_height_count(n + 1, k)
     total = sum(ballot_count(n, ell) for ell in range(0, min(k - 1, n) + 1))

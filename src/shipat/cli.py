@@ -127,8 +127,9 @@ def _cmd_count_avoiders(args) -> None:
         brute = avoidance.brute_avoider_counts(
             avoidance.pattern(args.family, args.k), args.n_max)
     if args.method in ("closed", "both"):
+        # the largest size first: one past the cap fails before any work
         closed = [avoidance.count_avoiders_closed(args.family, args.k, n)
-                  for n in range(args.n_max + 1)]
+                  for n in range(args.n_max, -1, -1)][::-1]
     if args.method == "both":
         print("n,count,count_brute,agree")
         for n, (c, b) in enumerate(zip(closed, brute)):

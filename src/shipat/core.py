@@ -182,12 +182,28 @@ class DyckPath(_Ordered):
 
     def heights(self) -> tuple[int, ...]:
         """Prefix heights h_1..h_2s, where h_t = #U - #D after t steps."""
-        out = []
-        h = 0
-        for char in self.word:
-            h += 1 if char == "U" else -1
-            out.append(h)
-        return tuple(out)
+        return tuple(_word_heights(self.word))
+
+
+# U as the signed byte 1 and D as -1
+_STEPS = bytes.maketrans(b"UD", b"\x01\xff")
+
+
+def _word_heights(word: str) -> list[int]:
+    """Prefix heights h_1..h_2s of a Dyck word, in one pass in C."""
+    steps = memoryview(word.encode().translate(_STEPS)).cast("b")
+    return list(accumulate(steps))
+
+
+def _word_cuts(heights: list[int], base: int) -> list[int]:
+    """0 and the end of every step back at height ``base``; the last height
+    must be ``base``.  These bound the ground factors of a word for base 0
+    and its heights, and the interior factors of an irreducible word for
+    base 1 and ``heights[1:-1]``."""
+    cuts = [0]
+    while cuts[-1] < len(heights):
+        cuts.append(heights.index(base, cuts[-1]) + 1)
+    return cuts
 
 
 EMPTY_PATH = DyckPath("")
@@ -529,10 +545,7 @@ def run_form(p: DyckPath) -> RunForm:
 
 def is_irreducible(p: DyckPath) -> bool:
     """True iff the path touches the diagonal only at its endpoints."""
-    if p.semilength == 0:
-        return False
-    heights = p.heights()
-    return all(h >= 1 for h in heights[:-1])
+    return p.semilength > 0 and min(_word_heights(p.word)[:-1]) >= 1
 
 
 def is_strongly_irreducible(p: DyckPath) -> bool:
@@ -541,10 +554,8 @@ def is_strongly_irreducible(p: DyckPath) -> bool:
     In height terms: h_t >= 2 for 2 <= t <= 2s - 2 (the endpoints of the
     first and last step are allowed to sit at height 1).
     """
-    if p.semilength == 0:
-        return False
-    heights = p.heights()
-    return all(h >= 2 for h in heights[1:-2])
+    return (p.semilength > 0
+            and min(_word_heights(p.word)[1:-2], default=2) >= 2)
 
 
 class NotIrreducible(ValueError):
@@ -604,16 +615,10 @@ class Decomposition(_Frozen):
 
 
 def _ground_factors(p: DyckPath) -> list[DyckPath]:
-    """Split at every return to the diagonal."""
-    factors = []
-    h = 0
-    start = 0
-    for t, char in enumerate(p.word, start=1):
-        h += 1 if char == "U" else -1
-        if h == 0:
-            factors.append(DyckPath(p.word[start:t]))
-            start = t
-    return factors
+    """Split at every return to the diagonal; a factor cut out of a Dyck
+    word at its returns is a Dyck word."""
+    cuts = _word_cuts(_word_heights(p.word), 0)
+    return [DyckPath._trusted(p.word[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _group_factors(factors: Sequence[DyckPath], connector_kind: str,
@@ -625,11 +630,13 @@ def _group_factors(factors: Sequence[DyckPath], connector_kind: str,
             peak_run += 1
             continue
         if peak_run or (materialize_empty and parts):
-            parts.append(Part(DyckPath("UD" * peak_run), CONNECTING, peak_run))
+            parts.append(Part(DyckPath._trusted("UD" * peak_run), CONNECTING,
+                              peak_run))
         peak_run = 0
         parts.append(Part(factor, connector_kind))
     if peak_run:
-        parts.append(Part(DyckPath("UD" * peak_run), CONNECTING, peak_run))
+        parts.append(Part(DyckPath._trusted("UD" * peak_run), CONNECTING,
+                          peak_run))
     return tuple(parts)
 
 
@@ -653,6 +660,6 @@ def strongly_irreducible_decomposition(p: DyckPath) -> Decomposition:
     """
     if not is_irreducible(p):
         raise NotIrreducible(f"{p.word or '(empty)'} is not irreducible")
-    interior = DyckPath(p.word[1:-1])
+    interior = DyckPath._trusted(p.word[1:-1])
     return Decomposition(STRONGLY_IRREDUCIBLE, _group_factors(
         _ground_factors(interior), STRONGLY_IRREDUCIBLE, materialize_empty=False))

@@ -17,26 +17,24 @@ families; concatenations at ground level compose as
 
     |UC(x + y)| = |UC(x)| + |UC(y)| + lastdescent(x) * firstascent(y) - 1.
 
-Every closed branch here is audited against brute force by
-:func:`audit_cover_counts`; the audit is part of the acceptance suite.
+The dispatch and the counts read the word alone: one pass of prefix
+heights decides the branch and cuts out the factors of the decompositions,
+which the recursion passes on as strings.  Every closed branch here is
+audited against brute force by :func:`audit_cover_counts`, an acceptance test.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain, repeat, starmap
+from operator import mul, sub
 
 from .core import (
     DyckPath,
     _Record,
     enumerate_paths,
     is_irreducible,
-    is_strongly_irreducible,
-    irreducible_decomposition,
-    peaks,
-    run_form,
-    strongly_irreducible_decomposition,
-    valleys,
-    CONNECTING,
-    _down_step_heights,
-    _ground_factors,
+    _word_cuts,
+    _word_heights,
 )
 from .poset import IndexOutOfRange, lower_covers, upper_covers
 
@@ -66,34 +64,30 @@ PEAK_RUN_MIN_SEMILENGTH = 3
 
 def classify_branch(p: DyckPath) -> str:
     """Total classification of a path into exactly one dispatch branch."""
-    s = p.semilength
-    w = p.word
-    if s == 0:
-        return BRANCH_EMPTY
-    if s == 1:
-        return BRANCH_MINIMUM
+    return _branch(p.word, _word_heights(p.word))
+
+
+def _branch(w: str, heights: list[int]) -> str:
+    """The dispatch branch of a Dyck word with the given prefix heights."""
+    s = len(w) // 2
+    if s < 2:
+        return BRANCH_MINIMUM if s else BRANCH_EMPTY
     if w == "UD" * s:
         return BRANCH_ZIGZAG
     if w == "U" * s + "D" * s:
         return BRANCH_PYRAMID
     if w == "U" + "UD" * (s - 1) + "D":
         return BRANCH_PEAK_RUN
-    if _is_symmetric(p):
+    # symmetric: U^a (DU)^r D^a with a >= 3 and r >= 1
+    a = w.find("D")
+    if 3 <= a < s and w == "U" * a + "DU" * (s - a) + "D" * a:
         return BRANCH_SYMMETRIC
-    if is_strongly_irreducible(p):
-        return BRANCH_STRONG
-    if is_irreducible(p):
+    # irreducible: h > 0 before the end; strongly: h > 1 inside the end steps
+    if heights.index(0) < len(w) - 1:
+        return BRANCH_REDUCIBLE
+    if heights.index(1, 1) < len(w) - 2:
         return BRANCH_IRR_COMPOSITE
-    return BRANCH_REDUCIBLE
-
-
-def _is_symmetric(p: DyckPath) -> bool:
-    """Whether p = U^a (DU)^r D^a with a >= 3 and r >= 1."""
-    rf = run_form(p)
-    asc, desc = rf.ascents, rf.descents
-    return (len(asc) >= 2 and asc[0] >= 3 and desc[-1] == asc[0]
-            and all(x == 1 for x in asc[1:])
-            and all(x == 1 for x in desc[:-1]))
+    return BRANCH_STRONG
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +95,14 @@ def _is_symmetric(p: DyckPath) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _col_u(ups_before: list[int], c: int) -> int:
-    """colU(c) in O(1), from ``ups_before[j - 1]`` = number of U before D_j.
-
-    colU(c) = (U before D_{c+1}, or s if c = s) - (U before D_{c-1}, or 0
-    if c = 1).
-    """
-    s = len(ups_before)
-    return ((ups_before[c] if c < s else s)
-            - (ups_before[c - 2] if c >= 2 else 0))
+def _column_table(w: str) -> tuple[list[int], list[int], list[int]]:
+    """The sums a_1 + ... + a_i, the b_i, and t = [0, 0, u_1, ..., u_s, s]
+    with u_j the U steps before D_j: colU(c) = t[c + 2] - t[c]."""
+    tops = list(accumulate(map(len, filter(None, w.split("D")))))
+    descents = list(map(len, filter(None, w.split("U"))))
+    # every D of the i-th descent run has a_1 + ... + a_i U steps before it
+    ups = chain.from_iterable(map(repeat, tops, descents))
+    return tops, descents, [0, 0, *ups, len(w) // 2]
 
 
 def column_subpath_ucount(p: DyckPath, c: int) -> int:
@@ -122,28 +115,24 @@ def column_subpath_ucount(p: DyckPath, c: int) -> int:
     s = p.semilength
     if not 1 <= c <= s:
         raise IndexOutOfRange(f"column {c} outside 1..{s}")
-    return _col_u(_down_step_heights(p), c)
+    table = _column_table(p.word)[2]
+    return table[c + 2] - table[c]
 
 
-def _up_irred(p: DyckPath) -> int:
-    """Column formula 2s + 1 + sum b_i * colU(a_1 + ... + a_i)."""
-    rf = run_form(p)
-    ups_before = _down_step_heights(p)
-    total = 2 * p.semilength + 1
-    prefix = 0
-    for a_i, b_i in zip(rf.ascents, rf.descents):
-        prefix += a_i
-        total += b_i * _col_u(ups_before, prefix)
-    return total
+def _up_irred(w: str) -> int:
+    """Column formula 2s + 1 + sum b_i * colU(a_1 + ... + a_i) of a word."""
+    tops, descents, table = _column_table(w)
+    above = map(table[2:].__getitem__, tops)  # t[c + 2]
+    below = map(table.__getitem__, tops)  # t[c]
+    return len(w) + 1 + sum(map(mul, descents, map(sub, above, below)))
 
 
-def _wrap(component: DyckPath) -> DyckPath:
-    return DyckPath("U" + component.word + "D")
-
-
-def _is_generic_strong_part(component: DyckPath) -> bool:
-    """Whether U component D is strongly irreducible outside the special families."""
-    return classify_branch(_wrap(component)) == BRANCH_STRONG
+def _wrapped_parts(w: str, heights: list[int]) -> list[tuple[str, list[int]]]:
+    """U f D and its heights, for every interior factor f of an irreducible
+    word: the heights of f inside the word are its own, raised by one."""
+    cuts = _word_cuts(heights[1:-1], 1)
+    return [("U" + w[a + 1:b + 1] + "D", [1, *heights[a + 1:b + 1], 0])
+            for a, b in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +142,36 @@ def _is_generic_strong_part(component: DyckPath) -> bool:
 
 def count_lower_covers(p: DyckPath) -> int:
     """Closed count of |lower_covers(p)| for semilength >= 1."""
-    branch = classify_branch(p)
-    if branch == BRANCH_EMPTY:
+    if not p.word:
         raise ValueError("lower covers need semilength >= 1")
+    return _count_lower(p.word, _word_heights(p.word))
+
+
+def _count_lower(w: str, heights: list[int]) -> int:
+    branch = _branch(w, heights)
     if branch == BRANCH_MINIMUM:
         return 0
     if branch in (BRANCH_ZIGZAG, BRANCH_PYRAMID):
         return 1
     if branch == BRANCH_PEAK_RUN:
         # U(UD)^m D has m lower covers.
-        return p.semilength - 1
-    if branch == BRANCH_SYMMETRIC:
-        return len(peaks(p)) + len(valleys(p)) - 1
-    if branch == BRANCH_STRONG:
-        return len(peaks(p)) + len(valleys(p))
+        return len(w) // 2 - 1
+    if branch in (BRANCH_SYMMETRIC, BRANCH_STRONG):
+        # peaks + valleys, minus one for the symmetric family
+        return w.count("UD") + w.count("DU") - (branch == BRANCH_SYMMETRIC)
     if branch == BRANCH_IRR_COMPOSITE:
-        parts = strongly_irreducible_decomposition(p).parts
-        return len(parts) - 1 + sum(
-            count_lower_covers(_wrap(part.component)) for part in parts)
-    decomposition = irreducible_decomposition(p)
-    return decomposition.k_prime + sum(
-        count_lower_covers(part.component)
-        for part in decomposition.parts if part.kind != CONNECTING)
+        # One less than the parts plus |LC(U part D)| over every part; a run
+        # of r interior factors UD is one part, r pyramids UUDD in the sum.
+        parts = _wrapped_parts(w, heights)
+        merged = sum(1 for (a, _), (b, _) in zip(parts, parts[1:])
+                     if a == b == "UUDD")
+        return len(parts) - merged - 1 + sum(starmap(_count_lower, parts))
+    # Reducible: a connecting part between any two ground factors other
+    # than UD and one for UD at either end, plus |LC| of those factors.
+    cuts = _word_cuts(heights, 0)
+    others = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 2]
+    return (len(others) - 1 + w.startswith("UD") + w.endswith("UD")
+            + sum(_count_lower(w[a:b], heights[a:b]) for a, b in others))
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +181,32 @@ def count_lower_covers(p: DyckPath) -> int:
 
 def count_upper_covers(p: DyckPath) -> int:
     """Closed count of |upper_covers(p)|."""
-    branch = classify_branch(p)
-    s = p.semilength
+    return _count_upper(p.word, _word_heights(p.word))
+
+
+def _count_upper(w: str, heights: list[int]) -> int:
+    branch = _branch(w, heights)
     if branch == BRANCH_EMPTY:
         return 1
     if branch in (BRANCH_MINIMUM, BRANCH_ZIGZAG, BRANCH_PYRAMID):
-        return 2 * s
+        return len(w)  # 2s
     if branch == BRANCH_PEAK_RUN:
-        return 4 * s - 5
-    if branch == BRANCH_SYMMETRIC:
-        return _up_irred(p) - 1
-    if branch == BRANCH_STRONG:
-        return _up_irred(p)
+        return 2 * len(w) - 5  # 4s - 5
+    if branch in (BRANCH_SYMMETRIC, BRANCH_STRONG):
+        return _up_irred(w) - (branch == BRANCH_SYMMETRIC)
     if branch == BRANCH_IRR_COMPOSITE:
-        parts = strongly_irreducible_decomposition(p).parts
-        generic = sum(1 for part in parts
-                      if part.kind != CONNECTING
-                      and _is_generic_strong_part(part.component))
-        return _up_irred(p) + generic - 1
+        # U f D is strongly irreducible: generic outside the special families
+        generic = sum(1 for v, h in _wrapped_parts(w, heights)
+                      if _branch(v, h) == BRANCH_STRONG)
+        return _up_irred(w) + generic - 1
     # Reducible: compose the ground factors left to right.
-    factors = _ground_factors(p)
-    total = sum(count_upper_covers(f) for f in factors)
+    cuts = _word_cuts(heights, 0)
+    factors = [w[a:b] for a, b in zip(cuts, cuts[1:])]
+    total = sum(_count_upper(f, heights[a:b])
+                for f, a, b in zip(factors, cuts, cuts[1:]))
     for left, right in zip(factors, factors[1:]):
-        total += run_form(left).descents[-1] * run_form(right).ascents[0] - 1
+        total += ((len(left) - len(left.rstrip("D")))
+                  * (len(right) - len(right.lstrip("U"))) - 1)
     return total
 
 

@@ -203,7 +203,7 @@ def check_lower_cover_exists(n_max: int) -> str:
 def check_up_irred_dual_route(n_max: int) -> str:
     for p in _paths_upto(n_max):
         if covers.classify_branch(p) in (covers.BRANCH_STRONG, covers.BRANCH_SYMMETRIC):
-            if covers._up_irred(p) != _up_irred_from_runs(p):
+            if covers._up_irred(p.word) != _up_irred_from_runs(p):
                 raise CheckFailed(p.word)
     return "word-scan and run-form evaluations agree"
 

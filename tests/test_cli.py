@@ -108,6 +108,17 @@ class TestCountAvoiders:
         assert (code, out, calls) == (1, "", [])
         assert err == "error: brute avoider counting capped at size 12\n"
 
+    def test_closed_cap_fails_before_counting(self, capsys, monkeypatch):
+        # every closed row of every family is built from strip counts
+        calls = []
+        monkeypatch.setattr(avoidance, "f_count",
+                            lambda *args: calls.append(args) or 0)
+        for tag in avoidance.FAMILY_TAGS:
+            code, out, err = run_cli(capsys, "count-avoiders", "--family",
+                                     tag, "--k", "3", "--n-max", "2001")
+            assert (code, out, calls) == (1, "", [])
+            assert err == "error: closed avoider counting capped at size 2000\n"
+
     def test_bad_k(self, capsys):
         code, _, err = run_cli(capsys, "count-avoiders", "--family", "te",
                                "--k", "1", "--n-max", "3")
@@ -242,6 +253,12 @@ MISUSE = [
     ("poset-node-cap-7300", ["poset", "--max-size", "7300"], 1, NODE_CAP),
     ("verify-cap", ["verify", "--suite", "all", "--n-max", "30"], 1,
      "error: verify capped at semilength 10\n"),
+    ("covers-cap", ["covers", "--path", "U" * 2001 + "D" * 2001, "--dir",
+                    "upper"], 1,
+     "error: cover listing capped at semilength 2000\n"),
+    ("closed-cap", ["count-avoiders", "--family", "tv", "--k", "5",
+                    "--n-max", "2001"], 1,
+     "error: closed avoider counting capped at size 2000\n"),
 ]
 
 

@@ -1,7 +1,13 @@
+import random
+import sys
+
 import pytest
 
 from shipat import (
+    Decomposition,
     DyckPath,
+    Part,
+    RunForm,
     audit_cover_counts,
     classify_branch,
     column_subpath_ucount,
@@ -14,6 +20,8 @@ from shipat import (
     upper_covers,
 )
 from shipat.covers import ALL_BRANCHES
+
+from conftest import uniform_word
 
 
 class TestClassification:
@@ -146,3 +154,66 @@ class TestAudit:
         report = audit_cover_counts(4)
         text = "\n".join(report.summary_lines())
         assert "mismatches: 0" in text
+
+
+class TestWordLevelCounts:
+    """The closed counts read the word alone; the brute cover sets of the
+    poset kernel are their oracle."""
+
+    def test_exhaustive_against_brute(self):
+        for s in range(10):
+            for p in enumerate_paths(s):
+                if s:
+                    assert count_lower_covers(p) == len(lower_covers(p))
+                assert count_upper_covers(p) == len(upper_covers(p))
+
+    @pytest.mark.parametrize("word, lower", [
+        ("UUDUUDDD", 3),
+        ("UUDUDUDUUDDD", 5),
+    ])
+    def test_connector_counts_each_peak(self, word, lower):
+        # U (UD)^r UUDD D: the connector (UD)^r and the pyramid are two
+        # parts, and U (UD)^r D has r lower covers, so 2 - 1 + r + 1
+        p = parse_path(word)
+        assert classify_branch(p) == "irreducible-composite"
+        assert count_lower_covers(p) == len(lower_covers(p)) == lower
+
+    @staticmethod
+    def _one_path_per_branch():
+        rng = random.Random(15)
+        inner = uniform_word(rng, 998)
+        left, right = uniform_word(rng, 600), uniform_word(rng, 396)
+        words = [
+            "", "UD", "UD" * 1000, "U" * 1000 + "D" * 1000,
+            "U" + "UD" * 999 + "D",
+            "U" * 500 + "DU" * 500 + "D" * 500,
+            "UU" + inner + "DD",
+            "UU" + left + "DUD" + "U" + right + "DD",
+            "U" + left + "D" + "UDUD" + "U" + right + "D",
+        ]
+        return [DyckPath(word) for word in words]
+
+    def test_no_path_is_built(self):
+        paths = self._one_path_per_branch()
+        assert [classify_branch(p) for p in paths] == list(ALL_BRANCHES)
+        # every constructor of the value classes a decomposition would build
+        codes = {cls.__init__.__code__
+                 for cls in (DyckPath, RunForm, Part, Decomposition)}
+        codes |= {attr.__func__.__code__ for attr in vars(DyckPath).values()
+                  if isinstance(attr, classmethod)}
+        built = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                built.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for p in paths:
+                classify_branch(p)
+                count_upper_covers(p)
+                if p.word:
+                    count_lower_covers(p)
+        finally:
+            sys.setprofile(None)
+        assert built == []
