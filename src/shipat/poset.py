@@ -21,12 +21,10 @@ unchecked, so a cover set costs O(s) per candidate child instead of a
 search over all O(s^2) insertion pairs; :func:`upper_covers_by_search`
 keeps that search, validating each candidate, as the independent oracle.
 
-Containment has two stateless routes.  :func:`contains_pattern` reads the
-host once from left to right, looking for an interleaved embedding of the
-pattern; it builds no cover and shares no kernel with the rest of the
-module.  :func:`up_set` sweeps the up-set of a pattern level by level by
-bounce insertions on the cover kernel and answers every host of a
-semilength at once.
+Containment has two stateless routes: :func:`contains_pattern` solves
+monotone constraints on step indices for the least embedding and builds
+no cover; :func:`up_set` sweeps the up-set of a pattern by bounce
+insertions on the cover kernel, for every host of a semilength at once.
 """
 
 from __future__ import annotations
@@ -265,14 +263,54 @@ def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
 # ---------------------------------------------------------------------------
 
 
+def _least_embedding(host: str, target: str) -> tuple[list[int] | None, int]:
+    """The least embedding x = [a_1, b_1, ..., a_k, b_k] of ``target``,
+    nonempty and no longer than ``host``, or None, and the stack pops made."""
+    # after[a] = d(a) + 1; before[t] = min{a : d(a) >= t}, or s + 1
+    after, before = [0], [1]
+    for char in host:
+        if char == "U":
+            after.append(len(before))
+        else:
+            before.append(len(after))
+    s, k = len(after) - 1, len(target) // 2
+    # turn[t]: the variable that x[t] bounds at a turn of the target, or -1
+    x, turn = [t // 2 + 1 for t in range(2 * k)], [-1] * (2 * k)
+    i = j = 0
+    for prev, char in zip("U" + target, target):
+        if char == "U":
+            i += 1
+            if prev == "D":  # valley D_j U_i: a_i >= before[b_j]
+                turn[2 * j - 1] = 2 * i - 2
+        else:
+            j += 1
+            if prev == "U" and j < i:  # peak U_i D_j: b_j >= after[a_i]
+                turn[2 * i - 2] = 2 * j - 1
+    stack, pops = [t for t in range(2 * k - 1, -1, -1) if turn[t] >= 0], 0
+    while stack:  # a constraint holds unless its source is on the stack
+        t = stack.pop()
+        pops += 1
+        v = x[t]
+        if v > s:
+            return None, pops
+        w = v + (t & 1)  # a_i <= b_i < a_{i+1}
+        if t < 2 * k - 1 and x[t + 1] < w:
+            x[t + 1] = w
+            stack.append(t + 1)
+        u = turn[t]
+        if u >= 0 and x[u] < (w := before[v] if t & 1 else after[v]):
+            x[u] = w
+            stack.append(u)
+    return x, pops
+
+
 def contains_pattern(p: DyckPath, q: DyckPath) -> bool:
     """True iff q is reachable from p by repeated bounce deletions.
 
     Reflexive by convention (zero deletions); the empty path lies below
-    itself alone.  For s(q) = k >= 1 this holds iff p has U indices
-    a_1 < ... < a_k and D indices b_1 < ... < b_k with
-    a_1 <= b_1 < a_2 <= b_2 < ... < a_k <= b_k such that keeping exactly
-    those steps of p spells q.
+    itself alone.  For s(q) = k >= 1 this holds iff p has U indices a_i
+    and D indices b_i with a_1 <= b_1 < a_2 <= b_2 < ... < a_k <= b_k such
+    that keeping exactly those steps of p spells q.
 
     *Only if.*  p embeds itself with a_i = b_i = i.  If p' comes from p by
     deleting U_x and D_y, y in {x - 1, x}, every U index u of p' maps to u
@@ -290,59 +328,21 @@ def contains_pattern(p: DyckPath, q: DyckPath) -> bool:
     original labels when its turn comes and each step is a legal
     delta(x_j, y_j), which leaves exactly the kept steps.
 
-    The search reads p once, left to right, depth first, on states
-    (i, j, e, pend): i steps of p read, j steps of q matched, e = KU(t) -
-    KD(t) for the t steps D read, and pend the keep bits of the U steps
-    read whose same-index D lies ahead, oldest in bit 0.  The states are
-    deduplicated in a set local to the call.  The set bits of pend number
-    the height of the matched prefix of q minus e, so there are at most
-    O(|p| * |q| * C(height(p), <= height(q))) states: polynomial for a fixed
-    pattern height, still exponential in height(q) in the worst case: a
-    uniform host of semilength 200 against a uniform pattern of semilength
-    50 runs out of 1.5 GB.  The search is iterative: no host is too deep
-    for it.
+    *Least fixpoint.*  Let d(a) count the D steps before U_a in p and m_i
+    those before the i-th U of q.  As D_b precedes U_a iff b <= d(a), the
+    kept steps spell q iff b_{m_i} <= d(a_i) < b_{m_i + 1} (b_0 = 0), and
+    every constraint is y >= h(x) with h nondecreasing: b_i >= a_i,
+    a_{i+1} >= b_i + 1, a_i >= min{a : d(a) >= b_{m_i}} and
+    b_{m_i + 1} >= d(a_i) + 1, the last two binding only at turns of q and
+    a peak only if m_i + 1 < i, as d(a) < a.  Raised from the least chain
+    a_i = b_i = i until none is broken, the variables stay below every
+    solution (Tarski; max-closed constraints, Jeavons and Cooper): one past
+    s = s(p) proves there is none, and at rest they are the least.  The 2k
+    variables rise at most s times, one pop each: at most 2k(s + 1) pops.
     """
-    host, target = p.word, q.word
-    if not target:
-        return not host
-    n, m = len(host), len(target)
-    # need[i]: the start of the longest suffix of q that is a subsequence
-    # of host[i:]; a state with j below it is dead
-    need = [m] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        j = need[i + 1]
-        need[i] = j - 1 if j and host[i] == target[j - 1] else j
-    heights = [0, *accumulate(1 if char == "U" else -1 for char in host)]
-    seen: set[tuple[int, int, int, int]] = set()
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        i, j, e, pend = state
-        # need[n] = m > j, so no state reads past the end of the host
-        if j < need[i]:
-            continue
-        if host[i] == "U":
-            stack.append((i + 1, j, e, pend))
-            # at height 0 this U is U_{t+1}, barred while e = 1
-            if target[j] == "U" and (heights[i] or not e):
-                stack.append((i + 1, j + 1, e, pend | 1 << heights[i]))
-        elif e or pend & 1:
-            # D_t pops the keep bit of U_t; e = 1 bars a kept U_{t+1}, so
-            # e and the bit are never both set.  Kept, D_t closes the open
-            # pair; dropped, it leaves one open and bars U_{t+1}.
-            rest = pend >> 1
-            if not rest & 1:
-                stack.append((i + 1, j, 1, rest))
-            if target[j] == "D":
-                if j + 1 == m:  # the rest of the host is dropped
-                    return True
-                stack.append((i + 1, j + 1, 0, rest))
-        else:  # nothing open, so D_t is dropped
-            stack.append((i + 1, j, 0, pend >> 1))
-    return False
+    if not q.word or q.semilength > p.semilength:
+        return p.word == q.word
+    return _least_embedding(p.word, q.word)[0] is not None
 
 
 def avoids(p: DyckPath, q: DyckPath) -> bool:
@@ -350,9 +350,8 @@ def avoids(p: DyckPath, q: DyckPath) -> bool:
 
 
 def contains_pattern_noprune(p: DyckPath, q: DyckPath) -> bool:
-    """Reference containment: an unpruned depth-first search over every
-    word below p by bounce deletions, independent of the scan in
-    :func:`contains_pattern` (for soundness tests)."""
+    """Reference containment for soundness tests: a depth-first search over
+    every word below p by bounce deletions, independent of the fixpoint."""
     seen, stack = {p.word}, [p.word]
     while stack:
         word = stack.pop()

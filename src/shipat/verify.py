@@ -283,14 +283,14 @@ def check_containment_properties(n_max: int) -> str:
     for p in paths:
         if not poset.contains_pattern(p, p):
             raise CheckFailed(f"not reflexive at {p}")
-    # embedding scan vs the unpruned word search
+    # least-embedding fixpoint vs the unpruned word search
     small = [p for p in paths if p.semilength <= 5]
     for p in small:
         for q in small:
             if poset.contains_pattern(p, q) != poset.contains_pattern_noprune(p, q):
-                raise CheckFailed(f"scan and word search disagree on {p} >= {q}")
-    # the wording predates the scan; verify stdout is pinned byte for byte
-    # (tests/test_verify.py and the sha256 sums in CI and the benchmark)
+                raise CheckFailed(f"fixpoint and word search disagree on {p} >= {q}")
+    # the wording predates the fixpoint; verify stdout is pinned byte for
+    # byte (tests/test_verify.py and the sha256 sums in CI and the benchmark)
     return "reflexive; pruned search matches unpruned reference"
 
 

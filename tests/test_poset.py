@@ -358,8 +358,7 @@ class TestContainmentScan:
             assert accepted == down[p.word], p
 
     def test_families_at_large_semilength(self):
-        # the few-bounce hosts stay short: tall hosts keep many pending
-        # U steps apart, and the scan's states grow with the host's height
+        # hosts at s = 100-400; TestContainmentFixpoint goes to s = 2000
         rng = random.Random(2020)
         start = time.monotonic()
         for k in range(2, 6):
@@ -375,9 +374,7 @@ class TestContainmentScan:
                 for tag in FAMILY_TAGS:
                     assert (contains_pattern(p, pattern(tag, k))
                             != avoids_characterized(p, tag, k)), (p, tag, k)
-        # About 0.2 s on 2 vCPUs.  Letting a kept U_{t+1} through while
-        # e = 1 changes no answer here but takes over a minute: barring it
-        # is what keeps the states few.
+        # About 0.04 s on 2 vCPUs: each call makes at most 2k(s + 1) pops.
         assert time.monotonic() - start < 10
 
     def test_hosts_beyond_the_word_search(self):
@@ -385,6 +382,111 @@ class TestContainmentScan:
         assert not contains_pattern(wide, parse_path("UDUDUD"))
         pyramid = DyckPath("U" * 1500 + "D" * 1500)
         assert not contains_pattern(pyramid, parse_path("UDUD"))
+
+
+def _bounce_deleted(rng, word, count):
+    """``word`` after ``count`` seeded bounce deletions, for ``count`` at
+    most (s + 1) / 2 at semilength s.
+
+    The U indices i_1 < ... < i_count are at least 2 apart and each D index
+    is i_r - 1 or i_r, so deleting the pairs in decreasing i_r, each pair
+    still has its original labels when its turn comes: the result is the
+    word without those steps.
+    """
+    ups, downs = poset._step_positions(word)
+    picks = sorted(rng.sample(range(1, len(ups) - count + 2), count))
+    drop = set()
+    for r, pick in enumerate(picks):
+        i = pick + r
+        drop.update((ups[i - 1], downs[max(1, i - rng.randint(0, 1)) - 1]))
+    return "".join(char for pos, char in enumerate(word) if pos not in drop)
+
+
+def _replay(p, embedding):
+    """Replay the deletion sequence of the "If" half of the
+    :func:`contains_pattern` proof: sort the deleted U indices x_j and D
+    indices y_j, then delete the pairs in decreasing x_j."""
+    xs = sorted(set(range(1, p.semilength + 1)) - set(embedding[0::2]))
+    ys = sorted(set(range(1, p.semilength + 1)) - set(embedding[1::2]))
+    for x, y in sorted(zip(xs, ys), reverse=True):
+        p = bounce_delete(p, Deletion(x, y))
+    return p
+
+
+class TestContainmentFixpoint:
+    def test_every_embedding_replays_to_the_pattern(self):
+        paths = [p for s in range(1, 7) for p in enumerate_paths(s)]
+        pairs = [(p, q) for p in paths for q in paths
+                 if q.semilength <= p.semilength]
+        rng = random.Random(16)
+        for s in (30, 60, 200):
+            host = uniform_word(rng, s)
+            pairs.append((DyckPath(host),
+                          DyckPath(_bounce_deleted(rng, host, s // 3))))
+        found = 0
+        for p, q in pairs:
+            embedding, _ = poset._least_embedding(p.word, q.word)
+            if embedding is not None:
+                assert _replay(p, embedding) == q, (p, q)
+                found += 1
+        # the 2940 pairs q <= p up to semilength 6, and the seeded three
+        assert found == 2943
+
+    def test_tall_hosts_in_well_under_a_second(self):
+        rng = random.Random(2026)
+        tg_3 = pattern("tg", 3)
+        wide = DyckPath(uniform_word(rng, 2000))
+        cases = [(DyckPath("UD" * 100 + tower + "UD" * 3), tg_3)
+                 for tower in ("U" * 100 + "D" * 100, "U" * 150 + "D" * 150)]
+        cases += [(DyckPath(uniform_word(rng, 200)),
+                   DyckPath(uniform_word(rng, 50))),
+                  (wide, DyckPath(_bounce_deleted(
+                      rng, _bounce_deleted(rng, wide.word, 600), 400)))]
+        start = time.monotonic()
+        answers = [contains_pattern(p, q) for p, q in cases]
+        elapsed = time.monotonic() - start
+        assert answers[:2] == [False, False] and answers[3]
+        if answers[2]:
+            p, q = cases[2]
+            assert _replay(p, poset._least_embedding(p.word, q.word)[0]) == q
+        assert cases[3][1].semilength == 1000
+        assert all(avoids_characterized(p, "tg", 3) for p, _ in cases[:2])
+        assert elapsed < 1
+
+    def test_pops_within_the_stated_bound(self):
+        # (UD)^(s - k) q for q = UU (DU)^(k - 2) DD pops up to about 3/4 of
+        # 2k(s + 1): every variable climbs the zigzag nearly to its end
+        cases = []
+        for s, k in ((60, 20), (200, 50), (200, 150)):
+            tail = "UU" + "DU" * (k - 2) + "DD"
+            tower = "U" * k + "D" * k
+            cases += [("UD" * (s - k) + tail, tail, True),
+                      ("UD" * s, tower, False),
+                      ("UD" * (s - k) + tower, tower, True),
+                      ("U" * s + "D" * s, tower, True),
+                      ("U" * (s // 2) + "UD" * (s // 2) + "D" * (s // 2),
+                       "U" * (k // 2) + "UD" * (k // 2) + "D" * (k // 2),
+                       True),
+                      ("UD" * (s - k) + tower, tail, False)]
+        for host, target, answer in cases:
+            s, k = len(host) // 2, len(target) // 2
+            embedding, pops = poset._least_embedding(host, target)
+            assert pops <= 2 * k * (s + 1), (host, target)
+            assert (embedding is not None) == answer, (host, target)
+
+    def test_families_on_hosts_up_to_semilength_2000(self):
+        rng = random.Random(1955)
+        start = time.monotonic()
+        for k in range(2, 6):
+            hosts = [DyckPath(_few_bounces_word(rng, 400, k)),
+                     DyckPath(_few_bounces_word(rng, 400, k + 1)),
+                     DyckPath(uniform_word(rng, 2000)),
+                     DyckPath(_bounded_word(rng, 2000, k))]
+            for p in hosts:
+                for tag in FAMILY_TAGS:
+                    assert (contains_pattern(p, pattern(tag, k))
+                            != avoids_characterized(p, tag, k)), (p, tag, k)
+        assert time.monotonic() - start < 2
 
 
 class TestHasse:
