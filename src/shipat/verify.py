@@ -372,6 +372,9 @@ def check_mirror_symmetry(n_max: int) -> str:
 
 
 def check_f_count(n_max: int) -> str:
+    # The grid runs both evaluations of f_count: (k + 2)^3 <= 4(m + n)
+    # folds k <= 3 once m + n is large enough, and the rest reflect.  The
+    # detail line is pinned byte for byte, so it keeps its old wording.
     for m in range(0, 21):
         for n in range(0, 21):
             for k in range(0, 9):

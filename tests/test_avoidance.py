@@ -183,7 +183,11 @@ class TestCounting:
             n = 150 * period - 1
             cases += [(n, n, k), (n - k, n, k)]
         for m, n, k in cases:
-            assert f_count(m, n, k) == f_count_oracle(m, n, k), (m, n, k)
+            want = f_count_oracle(m, n, k)
+            assert f_count(m, n, k) == want, (m, n, k)
+            # the rule folds most of these strips, so the reflection sum,
+            # whose boundary terms the cases aim at, is called directly
+            assert avoidance._strip_by_reflection(m, n, k) == want, (m, n, k)
 
     def test_brute_small_patterns(self):
         assert count_avoiders_brute(pattern("te", 2), 2) == 4
@@ -328,6 +332,66 @@ def _stripped_avoider_counts(k, n_max):
         rows = new
         counts.append(1 + sum(map(sum, rows)))
     return counts
+
+
+def _folds(m, n, k):
+    """The rule by which f_count folds a strip instead of reflecting."""
+    return (k + 2) ** 3 <= 4 * (m + n)
+
+
+class TestStripRoutes:
+    """The two evaluations of f_count, the fold of (1 + x)^(m + n) modulo
+    x^(k+2) - 1 and the reflection sum, and the rule that picks one."""
+
+    ROUTES = (avoidance._strip_by_folding, avoidance._strip_by_reflection)
+
+    def test_both_routes_against_oracle_across_the_switch(self):
+        # up to m + n = 430 the rule folds k <= 9 from some size on; the
+        # larger k are strips it always reflects
+        for m in [*range(10), *range(20, 201, 20)]:
+            for k in range(31):
+                for n in sorted({m, m + k // 2, m + k}):
+                    want = f_count_oracle(m, n, k)
+                    for route in self.ROUTES:
+                        assert route(m, n, k) == want, (route, m, n, k)
+
+    def test_narrow_strips_at_scale(self):
+        rng = random.Random(1500)
+        for _ in range(10):
+            m, k = rng.randint(1450, 1550), rng.randint(0, 12)
+            n = m + rng.randint(0, k)
+            assert _folds(m, n, k)
+            assert f_count(m, n, k) == f_count_oracle(m, n, k), (m, n, k)
+
+    def test_routes_agree_on_both_sides_of_the_switch(self):
+        for size in (50, 400, 4000):
+            last = max(k for k in range(size) if _folds(0, size, k))
+            for k in range(max(last - 2, 0), last + 3):
+                # m + n = size, with n - m at both ends of [0, k]
+                ends = range(size % 2, k + 1, 2)
+                for d in {*ends[:2], *ends[-2:]}:
+                    m = (size - d) // 2
+                    folded, reflected = (route(m, m + d, k)
+                                         for route in self.ROUTES)
+                    assert folded == reflected, (m, m + d, k)
+
+    def test_f_count_picks_the_route_by_the_rule(self, monkeypatch):
+        calls = []
+        for route in self.ROUTES:
+            monkeypatch.setattr(avoidance, route.__name__,
+                                lambda m, n, k, name=route.__name__:
+                                calls.append(name) or 0)
+        cases = [(m, m + d, k) for m in (0, 3, 20, 200, 2000)
+                 for k in range(0, 25, 3) for d in (0, k)]
+        cases += [(8, 8, 2), (7, 8, 2)]  # 4(m + n) = 64 and 60 against 4^3
+        for m, n, k in cases:
+            f_count(m, n, k)
+        assert calls == ["_strip_by_folding" if _folds(*case)
+                         else "_strip_by_reflection" for case in cases]
+        # ballot counts are the widest strips and always reflect
+        calls.clear()
+        ballot_count(2000, 1000)
+        assert calls == ["_strip_by_reflection"]
 
 
 class TestClosedAtScale:
