@@ -9,6 +9,7 @@ families are equinumerous.
 """
 
 from shipat import (
+    avoider_rows,
     avoids_characterized,
     ballot_count,
     bounce_path,
@@ -53,10 +54,8 @@ print("te vs tg:", f"first divergence at n={report.first_divergence}",
       report.counts_a, report.counts_b)
 
 # The published avoider sequences for tv_5 and tv_6.
-print("\ntv_5 avoiders:", sequence_oeis(
-    [count_avoiders_closed("tv", 5, n) for n in range(14)]).strip())
-print("tv_6 avoiders:", sequence_oeis(
-    [count_avoiders_closed("tv", 6, n) for n in range(14)]).strip())
+print("\ntv_5 avoiders:", sequence_oeis(avoider_rows("tv", 5, 13)).strip())
+print("tv_6 avoiders:", sequence_oeis(avoider_rows("tv", 6, 13)).strip())
 
 # Ingredients of the tv formula: ballot numbers and strip-confined paths.
 print("\nballot numbers row n=5:", [ballot_count(5, l) for l in range(6)])

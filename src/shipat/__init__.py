@@ -70,6 +70,7 @@ from .avoidance import (
     PatternFamily,
     UnsupportedFamily,
     WilfReport,
+    avoider_rows,
     avoids_characterized,
     ballot_count,
     bounded_height_count,

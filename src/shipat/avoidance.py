@@ -23,9 +23,9 @@ sums, S_r = sum of C(m + n, j) over j = r (mod k + 2), which is what the
 reflection-principle sum telescopes to.  A narrow strip reads them off
 (1 + x)^{m+n} modulo x^{k+2} - 1, squared up with no division; a wide one
 sums the reflection terms, exact integer divisions with a zero remainder
-asserted.  The tv/tor convolution needs a strip count for every endpoint of
-a band, and reads them all off one column-by-column walk of the strip, each
-column a running sum of the one before.
+asserted.  The tv/tor rows need a strip count for every endpoint of a
+band, and all rows up to a size read them off one column-by-column walk of
+the strip, each column a running sum of the one before.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ BRUTE_MAX_TABLEAU_SIZE = 12
 
 # The largest tableau size of a closed avoider count.  A count of size n is
 # at most C(n + 1), so every row stays at most C(2001), about 1,200 digits,
-# far from the 4,300 digits at which Python stops printing an int; on 2
-# vCPUs the tv_5 rows to n = 2,000 take about 6 s.
+# far from the 4,300 digits at which Python stops printing an int.  On 2
+# vCPUs all closed rows to n = 2,000 take at most a second or two at any k.
 CLOSED_MAX_TABLEAU_SIZE = 2_000
 
 
@@ -148,12 +148,9 @@ def avoids_tv2_shape(p: DyckPath) -> bool:
     word = p.word
     if word == "U" * s + "D" * s:
         return True
-    r = 0
-    while r < len(word) and word[r] == "U":
-        r += 1
-    if not 1 <= r <= s - 1:
-        return False
-    # shape U^r D w D (UD)^{s-1-r} with |w| = r and exactly one U in w
+    # U^s D^s is out, so the first run U^r has 1 <= r <= s - 1; the shape
+    # is U^r D w D (UD)^{s-1-r} with |w| = r and exactly one U in w
+    r = word.find("D")
     shuffle = word[r + 1:2 * r + 1]
     return (shuffle.count("U") == 1 and word[2 * r + 1] == "D"
             and word[2 * r + 2:] == "UD" * (s - 1 - r))
@@ -399,51 +396,90 @@ def count_avoiders_brute(q: DyckPath, n: int) -> int:
     return brute_avoider_counts(q, n)[-1]
 
 
-def count_avoiders_closed(tag: str, k: int, n: int) -> int:
-    """|Av_n| of the family pattern by the closed formulas.
-
-    te, tf and (for k >= 3) tg avoiders are bounded-height paths; tv and
-    tor avoiders split by the number l of non-empty rows into ballot paths
-    (l < k), a full-size strip count (l = n) and a convolution of free
-    prefixes with strip-confined suffix paths (k <= l < n).  At size two
-    tg sits in the tv/tor Wilf class instead, with C(n+1, 2) + 1 avoiders,
-    which is what the tv formula evaluates to there.
-
-    The suffix counts f(l - h, l, k - 1) and the full-size count
-    f(n, n, k - 1) all lie in the strip x <= y <= x + k - 1.  One walk over
-    its columns x = 0..n gives every one of them, so the convolution costs
-    O(n * k) integer additions instead of n * k reflection sums.  Sizes
-    above :data:`CLOSED_MAX_TABLEAU_SIZE` raise
-    :class:`~shipat.poset.ResourceLimit`.
-    """
-    _check_family(tag, k)
+def _check_closed_size(n: int) -> None:
+    """Reject a negative size, then one above :data:`CLOSED_MAX_TABLEAU_SIZE`."""
     if n < 0:
         raise ValueError("tableau size must be >= 0")
     if n > CLOSED_MAX_TABLEAU_SIZE:
         raise ResourceLimit("closed avoider counting capped at size "
                             f"{CLOSED_MAX_TABLEAU_SIZE}")
-    if tag in ("te", "tf") or (tag == "tg" and k >= 3):
+
+
+def _bounded_height_family(tag: str, k: int) -> bool:
+    """Whether the avoiders of the family are the paths of height <= k."""
+    return tag in ("te", "tf") or (tag == "tg" and k >= 3)
+
+
+def _strip_rows(k: int, n_max: int) -> list[int]:
+    """The tv_k avoider counts of sizes 0..n_max, from one walk over the
+    columns x = 0..n_max of the strip x <= y <= x + k - 1.
+
+    Row n is the sum over x < n and h < k of C(n - 1 - x, h) f(x, x + h,
+    k - 1), plus f(n, n, k - 1).  At column x the walk holds
+
+    * ``col[h]`` = f(x, x + h, k - 1).  A path enters (x, x + h) from
+      (x - 1, x + h) or from (x, x + h - 1), so each column is a running
+      sum of the one before; ``col[k]`` = 0 stands for the point
+      (x - 1, x + k) outside the strip;
+    * ``conv[j]`` = A_x[j], the sum over x' < x and h of
+      C(x - 1 - x', h - j) f(x', x' + h, k - 1), so that row n is
+      A_n[0] + col[0].  Pascal's rule gives
+      A_{x+1}[j] = A_x[j] + A_x[j + 1] + f(x, x + j, k - 1), and no
+      binomial is computed.
+
+    Row n reads ``col`` and ``conv`` only at index 0, which needs column x
+    only up to index n_max - x, so the walk narrows as it nears n_max:
+    at most (n_max + 1) k steps of three integer additions.
+    """
+    if n_max < k:  # no tableau of size below k contains the pattern
+        return [catalan(n + 1) for n in range(n_max + 1)]
+    col = [1] * k + [0]
+    conv = [0] * (k + 1)
+    rows = []
+    for x in range(n_max + 1):
+        rows.append(conv[0] + col[0])
+        run = 0
+        for h in range(min(k, n_max - x)):
+            conv[h] += conv[h + 1] + col[h]
+            run += col[h + 1]
+            col[h] = run
+    return rows
+
+
+def avoider_rows(tag: str, k: int, n_max: int) -> list[int]:
+    """[|Av_0|, ..., |Av_{n_max}|] of the family pattern by the closed
+    formulas.
+
+    te, tf and (for k >= 3) tg avoiders are bounded-height paths, and each
+    of their rows is one :func:`bounded_height_count`.  tv and tor avoiders
+    split by the number l of non-empty rows: a full-size strip count
+    f(n, n, k - 1) for l = n, and for l < n a convolution of free prefixes
+    with strip-confined suffix paths, the sum over h of
+    C(n - l + h - 1, h) f(l - h, l, k - 1).  For l < k the strip does not
+    bind, since the stripped tableau has l rows, and the term is the ballot
+    number B(n, l): every tableau with l non-empty rows avoids.  All rows
+    come off one walk of the strip, O(n_max * k) integer additions in all.
+    At size two tg sits in the tv/tor Wilf class instead, with
+    C(n+1, 2) + 1 avoiders, which is what the tv walk gives there.  The
+    family, the size and :data:`CLOSED_MAX_TABLEAU_SIZE`
+    (:class:`~shipat.poset.ResourceLimit`) are checked before any work.
+    """
+    _check_family(tag, k)
+    _check_closed_size(n_max)
+    if _bounded_height_family(tag, k):
+        return [bounded_height_count(n + 1, k) for n in range(n_max + 1)]
+    return _strip_rows(k, n_max)
+
+
+def count_avoiders_closed(tag: str, k: int, n: int) -> int:
+    """|Av_n| of the family pattern by the closed formulas: one
+    :func:`bounded_height_count`, or the last row of the strip walk of
+    :func:`avoider_rows`."""
+    _check_family(tag, k)
+    _check_closed_size(n)
+    if _bounded_height_family(tag, k):
         return bounded_height_count(n + 1, k)
-    # the sum of B(n, l) over l <= L is B(n + 1, L): split each ballot path
-    # to (L, n + 1) at its last U, after which only D steps follow
-    total = ballot_count(n + 1, min(k - 1, n))
-    if n >= k:
-        # col[h] counts the paths to (x, x + h), f(x, x + h, k - 1): a path
-        # enters (x, x + h) from (x - 1, x + h) or from (x, x + h - 1), so
-        # each column is a running sum of the one before.  The term of row
-        # l = x + h is C(n - l + h - 1, h) col[h], and at x = n col[0] is
-        # f(n, n, k - 1).
-        col = [1] * k
-        for x in range(1, n + 1):
-            run = 0
-            for h in range(k - 1):
-                run += col[h + 1]
-                col[h] = run
-            col[k - 1] = run
-            for h in range(max(0, k - x), min(k, n - x)):
-                total += math.comb(n - x - 1, h) * col[h]
-        total += col[0]
-    return total
+    return _strip_rows(k, n)[-1]
 
 
 class WilfReport(_Frozen):

@@ -20,6 +20,10 @@ after ``error: <message>`` on stderr, 1 for
 ``ValueError``, the type of every parse, family, size and flag error.  Every
 cap is a library constant that raises ``ResourceLimit`` before any work.
 
+``count-avoiders --method closed`` takes every row from one call of
+:func:`~shipat.avoidance.avoider_rows`: all tv/tor rows come off one walk
+of the strip, and the size cap is checked before it starts.
+
 Each command imports only what it runs: :mod:`shipat.verify` is imported by
 ``verify`` alone, and its process pool only for ``verify --jobs N`` with
 N > 1, so a cold process for any other command loads neither.
@@ -127,9 +131,7 @@ def _cmd_count_avoiders(args) -> None:
         brute = avoidance.brute_avoider_counts(
             avoidance.pattern(args.family, args.k), args.n_max)
     if args.method in ("closed", "both"):
-        # the largest size first: one past the cap fails before any work
-        closed = [avoidance.count_avoiders_closed(args.family, args.k, n)
-                  for n in range(args.n_max, -1, -1)][::-1]
+        closed = avoidance.avoider_rows(args.family, args.k, args.n_max)
     if args.method == "both":
         print("n,count,count_brute,agree")
         for n, (c, b) in enumerate(zip(closed, brute)):

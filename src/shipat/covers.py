@@ -17,16 +17,17 @@ families; concatenations at ground level compose as
 
     |UC(x + y)| = |UC(x)| + |UC(y)| + lastdescent(x) * firstascent(y) - 1.
 
-The dispatch and the counts read the word alone: one pass of prefix
-heights decides the branch and cuts out the factors of the decompositions,
-which the recursion passes on as strings.  Every closed branch here is
-audited against brute force by :func:`audit_cover_counts`, an acceptance test.
+The dispatch and the counts read the word alone.  String comparison picks
+out the special families, whose counts follow from their shape; any other
+word takes one pass of prefix heights, which decides the branch and cuts
+out the factors of the decompositions for the recursion to pass on as
+strings.  Every closed branch here is audited against brute force by
+:func:`audit_cover_counts`, an acceptance test.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat, starmap
-from operator import mul, sub
+from itertools import accumulate, starmap
 
 from .core import (
     DyckPath,
@@ -64,30 +65,38 @@ PEAK_RUN_MIN_SEMILENGTH = 3
 
 def classify_branch(p: DyckPath) -> str:
     """Total classification of a path into exactly one dispatch branch."""
-    return _branch(p.word, _word_heights(p.word))
+    return _dispatch(p.word)[0]
 
 
-def _branch(w: str, heights: list[int]) -> str:
-    """The dispatch branch of a Dyck word with the given prefix heights."""
+def _dispatch(w: str, heights: list[int] | None = None
+              ) -> tuple[str, list[int] | None]:
+    """The dispatch branch of a Dyck word, and its prefix heights.
+
+    The special families are told apart by comparing the word with their
+    shapes, so only a word outside them needs its heights; they are
+    computed here unless given, and stay as given for a special word.
+    """
     s = len(w) // 2
     if s < 2:
-        return BRANCH_MINIMUM if s else BRANCH_EMPTY
+        return (BRANCH_MINIMUM if s else BRANCH_EMPTY), heights
     if w == "UD" * s:
-        return BRANCH_ZIGZAG
+        return BRANCH_ZIGZAG, heights
     if w == "U" * s + "D" * s:
-        return BRANCH_PYRAMID
+        return BRANCH_PYRAMID, heights
     if w == "U" + "UD" * (s - 1) + "D":
-        return BRANCH_PEAK_RUN
+        return BRANCH_PEAK_RUN, heights
     # symmetric: U^a (DU)^r D^a with a >= 3 and r >= 1
     a = w.find("D")
     if 3 <= a < s and w == "U" * a + "DU" * (s - a) + "D" * a:
-        return BRANCH_SYMMETRIC
+        return BRANCH_SYMMETRIC, heights
+    if heights is None:
+        heights = _word_heights(w)
     # irreducible: h > 0 before the end; strongly: h > 1 inside the end steps
     if heights.index(0) < len(w) - 1:
-        return BRANCH_REDUCIBLE
+        return BRANCH_REDUCIBLE, heights
     if heights.index(1, 1) < len(w) - 2:
-        return BRANCH_IRR_COMPOSITE
-    return BRANCH_STRONG
+        return BRANCH_IRR_COMPOSITE, heights
+    return BRANCH_STRONG, heights
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +104,11 @@ def _branch(w: str, heights: list[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _column_table(w: str) -> tuple[list[int], list[int], list[int]]:
-    """The sums a_1 + ... + a_i, the b_i, and t = [0, 0, u_1, ..., u_s, s]
-    with u_j the U steps before D_j: colU(c) = t[c + 2] - t[c]."""
-    tops = list(accumulate(map(len, filter(None, w.split("D")))))
-    descents = list(map(len, filter(None, w.split("U"))))
-    # every D of the i-th descent run has a_1 + ... + a_i U steps before it
-    ups = chain.from_iterable(map(repeat, tops, descents))
-    return tops, descents, [0, 0, *ups, len(w) // 2]
+def _ucount_table(w: str) -> list[int]:
+    """t = [0, 0, u_1, ..., u_s, s] with u_j the U steps before D_j, so
+    that colU(c) = t[c + 2] - t[c]: the pieces of the word split at its D
+    steps are the U runs between them."""
+    return [0, 0, *accumulate(map(len, w.split("D")))]
 
 
 def column_subpath_ucount(p: DyckPath, c: int) -> int:
@@ -115,16 +121,21 @@ def column_subpath_ucount(p: DyckPath, c: int) -> int:
     s = p.semilength
     if not 1 <= c <= s:
         raise IndexOutOfRange(f"column {c} outside 1..{s}")
-    table = _column_table(p.word)[2]
+    table = _ucount_table(p.word)
     return table[c + 2] - table[c]
 
 
 def _up_irred(w: str) -> int:
-    """Column formula 2s + 1 + sum b_i * colU(a_1 + ... + a_i) of a word."""
-    tops, descents, table = _column_table(w)
-    above = map(table[2:].__getitem__, tops)  # t[c + 2]
-    below = map(table.__getitem__, tops)  # t[c]
-    return len(w) + 1 + sum(map(mul, descents, map(sub, above, below)))
+    """Column formula 2s + 1 + sum b_i * colU(a_1 + ... + a_i) of a word.
+
+    The b_i D steps of the i-th descent run each have a_1 + ... + a_i U
+    steps before them, so the sum runs over the D steps: colU(u_j) summed
+    over j = 1..s.
+    """
+    table = _ucount_table(w)
+    ups = table[2:-1]
+    return (len(w) + 1 + sum(map(table[2:].__getitem__, ups))
+            - sum(map(table.__getitem__, ups)))
 
 
 def _wrapped_parts(w: str, heights: list[int]) -> list[tuple[str, list[int]]]:
@@ -144,11 +155,11 @@ def count_lower_covers(p: DyckPath) -> int:
     """Closed count of |lower_covers(p)| for semilength >= 1."""
     if not p.word:
         raise ValueError("lower covers need semilength >= 1")
-    return _count_lower(p.word, _word_heights(p.word))
+    return _count_lower(p.word)
 
 
-def _count_lower(w: str, heights: list[int]) -> int:
-    branch = _branch(w, heights)
+def _count_lower(w: str, heights: list[int] | None = None) -> int:
+    branch, heights = _dispatch(w, heights)
     if branch == BRANCH_MINIMUM:
         return 0
     if branch in (BRANCH_ZIGZAG, BRANCH_PYRAMID):
@@ -156,9 +167,12 @@ def _count_lower(w: str, heights: list[int]) -> int:
     if branch == BRANCH_PEAK_RUN:
         # U(UD)^m D has m lower covers.
         return len(w) // 2 - 1
-    if branch in (BRANCH_SYMMETRIC, BRANCH_STRONG):
-        # peaks + valleys, minus one for the symmetric family
-        return w.count("UD") + w.count("DU") - (branch == BRANCH_SYMMETRIC)
+    if branch == BRANCH_SYMMETRIC:
+        # peaks + valleys - 1 of U^a (DU)^r D^a: (r + 1) + r - 1
+        return len(w) - 2 * w.find("D")
+    if branch == BRANCH_STRONG:
+        # peaks + valleys
+        return w.count("UD") + w.count("DU")
     if branch == BRANCH_IRR_COMPOSITE:
         # One less than the parts plus |LC(U part D)| over every part; a run
         # of r interior factors UD is one part, r pyramids UUDD in the sum.
@@ -181,23 +195,29 @@ def _count_lower(w: str, heights: list[int]) -> int:
 
 def count_upper_covers(p: DyckPath) -> int:
     """Closed count of |upper_covers(p)|."""
-    return _count_upper(p.word, _word_heights(p.word))
+    return _count_upper(p.word)
 
 
-def _count_upper(w: str, heights: list[int]) -> int:
-    branch = _branch(w, heights)
+def _count_upper(w: str, heights: list[int] | None = None) -> int:
+    branch, heights = _dispatch(w, heights)
     if branch == BRANCH_EMPTY:
         return 1
     if branch in (BRANCH_MINIMUM, BRANCH_ZIGZAG, BRANCH_PYRAMID):
         return len(w)  # 2s
     if branch == BRANCH_PEAK_RUN:
         return 2 * len(w) - 5  # 4s - 5
-    if branch in (BRANCH_SYMMETRIC, BRANCH_STRONG):
-        return _up_irred(w) - (branch == BRANCH_SYMMETRIC)
+    if branch == BRANCH_SYMMETRIC:
+        # the column formula minus one on U^a (DU)^r D^a; colU telescopes
+        # to 2r - 2a + 3 for r >= a, to 1 for r = a - 1 and to 0 below
+        a = w.find("D")
+        r = len(w) // 2 - a
+        return 4 * r + 3 if r >= a - 1 else len(w)
+    if branch == BRANCH_STRONG:
+        return _up_irred(w)
     if branch == BRANCH_IRR_COMPOSITE:
         # U f D is strongly irreducible: generic outside the special families
         generic = sum(1 for v, h in _wrapped_parts(w, heights)
-                      if _branch(v, h) == BRANCH_STRONG)
+                      if _dispatch(v, h)[0] == BRANCH_STRONG)
         return _up_irred(w) + generic - 1
     # Reducible: compose the ground factors left to right.
     cuts = _word_cuts(heights, 0)

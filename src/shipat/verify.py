@@ -388,8 +388,8 @@ def check_closed_vs_brute(n_max: int) -> str:
     for tag in avoidance.FAMILY_TAGS:
         for k in (2, 3, 4, 5):
             rows = avoidance.brute_avoider_counts(avoidance.pattern(tag, k), bound)
-            for n, brute in enumerate(rows):
-                closed = avoidance.count_avoiders_closed(tag, k, n)
+            closed_rows = avoidance.avoider_rows(tag, k, bound)
+            for n, (closed, brute) in enumerate(zip(closed_rows, rows)):
                 if closed != brute:
                     raise CheckFailed(f"{tag}_{k} at n={n}: "
                                       f"closed={closed} brute={brute}")

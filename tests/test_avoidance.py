@@ -10,6 +10,7 @@ from shipat import (
     ShiTableau,
     UnsupportedFamily,
     area_vector,
+    avoider_rows,
     avoids,
     avoids_characterized,
     ballot_count,
@@ -217,6 +218,39 @@ class TestCounting:
             for n in range(k):
                 assert count_avoiders_closed("tv", k, n) == catalan(n + 1)
 
+    def test_rows_are_the_single_values(self):
+        for tag in FAMILY_TAGS:
+            for k in range(2, 12):
+                assert avoider_rows(tag, k, 69) == [
+                    count_avoiders_closed(tag, k, n) for n in range(70)], \
+                    (tag, k)
+
+    def test_rows_of_wide_strips(self):
+        # below size k nothing contains the pattern, of semilength k + 1,
+        # and at size k the pattern itself is the one tableau that does
+        for tag in ("tv", "tor"):
+            for k in (2, 7, 40, 300):
+                rows = avoider_rows(tag, k, k + 2)
+                assert rows[:k] == [catalan(n + 1) for n in range(k)]
+                assert rows[k] == catalan(k + 1) - 1
+
+    def test_negative_sizes_rejected(self):
+        for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                f_count(*args)
+            with pytest.raises(ValueError):
+                f_count_oracle(*args)
+        for count in (count_avoiders_closed, avoider_rows):
+            for tag in ("te", "tv"):
+                with pytest.raises(ValueError, match="tableau size"):
+                    count(tag, 3, -1)
+
+    def test_closed_cap(self):
+        for count in (count_avoiders_closed, avoider_rows):
+            for tag in ("te", "tv"):
+                with pytest.raises(ResourceLimit):
+                    count(tag, 3, avoidance.CLOSED_MAX_TABLEAU_SIZE + 1)
+
     def test_closed_vs_brute_samples(self):
         for tag in FAMILY_TAGS:
             for k in (2, 3):
@@ -397,7 +431,8 @@ class TestStripRoutes:
 class TestClosedAtScale:
     """Audit of the closed avoider counts up to n = 150, far past the
     exhaustive range of the brute-force search oracle: seeded samples for
-    the bounded-height families, every n for the tv/tor strip walk."""
+    the bounded-height families, every n for the tv/tor strip walk, and
+    every row of every family."""
 
     def test_stripped_dp_matches_published_terms(self):
         assert _stripped_avoider_counts(5, 13) == TV5_TERMS
@@ -419,6 +454,17 @@ class TestClosedAtScale:
                 for n, count in expected.items():
                     assert count_avoiders_closed(tag, k, n) == count, \
                         (tag, k, n)
+
+    def test_rows_against_dps(self):
+        for k in range(2, 7):
+            heights = _height_bounded_counts(k, 151)
+            stripped = _stripped_avoider_counts(k, 150)
+            for tag in FAMILY_TAGS:
+                rows = avoider_rows(tag, k, 150)
+                if tag in ("te", "tf") or (tag == "tg" and k >= 3):
+                    assert rows == heights[1:], (tag, k)
+                else:
+                    assert rows == stripped, (tag, k)
 
 
 def _zeta_every_level(p):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -100,7 +101,7 @@ class TestCountAvoiders:
 
     def test_both_cap_fails_before_closed_rows(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(avoidance, "count_avoiders_closed",
+        monkeypatch.setattr(avoidance, "avoider_rows",
                             lambda *args: calls.append(args))
         code, out, err = run_cli(capsys, "count-avoiders", "--family", "te",
                                  "--k", "2", "--n-max", "13",
@@ -109,15 +110,31 @@ class TestCountAvoiders:
         assert err == "error: brute avoider counting capped at size 12\n"
 
     def test_closed_cap_fails_before_counting(self, capsys, monkeypatch):
-        # every closed row of every family is built from strip counts
+        # every closed row of every family is built from strip counts: one
+        # f_count each, or the tv/tor rows from one walk of the strip
         calls = []
         monkeypatch.setattr(avoidance, "f_count",
                             lambda *args: calls.append(args) or 0)
+        monkeypatch.setattr(avoidance, "_strip_rows",
+                            lambda *args: calls.append(args) or [])
         for tag in avoidance.FAMILY_TAGS:
             code, out, err = run_cli(capsys, "count-avoiders", "--family",
                                      tag, "--k", "3", "--n-max", "2001")
             assert (code, out, calls) == (1, "", [])
             assert err == "error: closed avoider counting capped at size 2000\n"
+
+    def test_closed_rows_finish_in_seconds(self, capsys):
+        # every row comes off one walk of the strip; one walk per row took
+        # 31 s for tv_50 to 1000 on 2 vCPUs, and minutes for tor_2000
+        for family, k, n_max in (("tv", 50, 1000), ("tor", 2000, 2000)):
+            start = time.monotonic()
+            code, out, _ = run_cli(capsys, "count-avoiders", "--family",
+                                   family, "--k", str(k), "--n-max",
+                                   str(n_max), "--method", "closed")
+            elapsed = time.monotonic() - start
+            assert code == 0
+            assert out.count("\n") == n_max + 2
+            assert elapsed < 5.0, (family, k, elapsed)
 
     def test_bad_k(self, capsys):
         code, _, err = run_cli(capsys, "count-avoiders", "--family", "te",
@@ -125,9 +142,11 @@ class TestCountAvoiders:
         assert code == 2
 
     def test_both_disagree_exit_3(self, capsys, monkeypatch):
-        closed = avoidance.count_avoiders_closed
-        monkeypatch.setattr(avoidance, "count_avoiders_closed",
-                            lambda tag, k, n: closed(tag, k, n) + (n == 2))
+        rows = avoidance.avoider_rows
+        monkeypatch.setattr(
+            avoidance, "avoider_rows",
+            lambda tag, k, n_max: [count + (n == 2) for n, count
+                                   in enumerate(rows(tag, k, n_max))])
         assert run_cli(capsys, "count-avoiders", "--family", "te", "--k",
                        "2", "--n-max", "2", "--method", "both") == (
             3, "n,count,count_brute,agree\n0,1,1,AGREE\n1,2,2,AGREE\n"

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from shipat import (
+    EMPTY_PATH,
     DyckPath,
     MalformedWord,
     NotBalanced,
     NotIrreducible,
     PrefixViolation,
+    RunForm,
     ShiTableau,
+    StandardTableau2,
     area_vector,
     bounce_path,
     catalan,
@@ -53,6 +56,11 @@ class TestParsing:
             parse_path("UXDD")
         assert err.value.index == 2
 
+    def test_constructor_rejects_malformed_words(self):
+        with pytest.raises(MalformedWord) as err:
+            DyckPath("UX")
+        assert (err.value.index, err.value.char) == (2, "X")
+
     def test_figure_path(self):
         assert parse_path("UUDUUDUDDUDD").semilength == 6
 
@@ -80,9 +88,20 @@ class TestTableauConversions:
         assert area_vector(parse_path("UUDUDD")) == (0, 1, 1)
 
     def test_illegal_area_vectors_rejected(self):
-        for bad in [(1,), (0, 2), (0, 1, 3), (0, -1)]:
+        for bad in [(), (1,), (0, 2), (0, 1, 3), (0, -1), (0, 0, 2)]:
             with pytest.raises(ValueError):
                 ShiTableau(bad)
+
+    def test_cells_outside_the_tableau_rejected(self):
+        t = ShiTableau((0, 1, 0))
+        assert t.is_full(3, 1) and not t.is_full(2, 1)
+        for row, col in [(1, 1), (2, 2), (4, 1), (3, 0), (0, 1)]:
+            with pytest.raises(ValueError):
+                t.is_full(row, col)
+
+    def test_empty_path_has_no_tableau(self):
+        with pytest.raises(ValueError):
+            path_to_tableau(EMPTY_PATH)
 
     @given(dyck_paths(min_semilength=1))
     def test_roundtrip(self, p):
@@ -111,6 +130,15 @@ class TestStandardTableaux:
     @given(dyck_paths(min_semilength=1))
     def test_roundtrip(self, p):
         assert syt_to_path(path_to_syt(p)) == p
+
+    def test_invalid_rows_rejected(self):
+        for top, bottom in [((1,), (2, 3)),    # unequal lengths
+                            ((1,), (3,)),      # not a permutation of 1..2
+                            ((2, 1), (3, 4)),  # top row decreasing
+                            ((1, 2), (4, 3)),  # bottom row decreasing
+                            ((1, 4), (2, 3))]:  # column 2 decreasing
+            with pytest.raises(ValueError):
+                StandardTableau2(top, bottom)
 
 
 def bounce_by_walk(word):
@@ -177,6 +205,10 @@ class TestRunFormAndDecompositions:
         for s in range(1, 8):
             for p in enumerate_paths(s):
                 assert run_form(p).to_path() == p
+
+    def test_odd_run_form_rejected(self):
+        with pytest.raises(ValueError, match="alternate"):
+            RunForm((2, 1, 1))
 
     def test_irreducibility(self):
         assert is_strongly_irreducible(parse_path("UUUDDD"))
@@ -249,6 +281,12 @@ class TestEnumeration:
         assert [sum(1 for _ in enumerate_paths(s)) for s in range(6)] == [
             1, 1, 2, 5, 14, 42]
         assert sum(1 for _ in enumerate_paths(8)) == catalan(8) == 1430
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            catalan(-1)
+        with pytest.raises(ValueError):
+            enumerate_paths(-1)
 
     def test_lexicographic(self):
         words = [p.word for p in enumerate_paths(3)]

@@ -19,6 +19,7 @@ from shipat import (
     parse_path,
     upper_covers,
 )
+from shipat import covers
 from shipat.covers import ALL_BRANCHES
 
 from conftest import uniform_word
@@ -217,3 +218,31 @@ class TestWordLevelCounts:
         finally:
             sys.setprofile(None)
         assert built == []
+
+    def test_special_families_take_no_heights_pass(self, monkeypatch):
+        paths = self._one_path_per_branch()[:6]
+        want = [(classify_branch(p), count_upper_covers(p),
+                 count_lower_covers(p) if p.word else None) for p in paths]
+        calls = []
+        monkeypatch.setattr(covers, "_word_heights",
+                            lambda word: calls.append(word))
+        assert [(classify_branch(p), count_upper_covers(p),
+                 count_lower_covers(p) if p.word else None)
+                for p in paths] == want
+        assert calls == []
+
+    def test_symmetric_counts_from_the_shape(self):
+        # U^a (DU)^r D^a on both sides of r = a - 1, where the upper count
+        # changes form, against the column formula and, for small
+        # semilengths, the cover sets
+        for a in range(3, 30):
+            for r in range(1, 30):
+                word = "U" * a + "DU" * r + "D" * a
+                p = DyckPath(word)
+                assert classify_branch(p) == "symmetric"
+                assert count_upper_covers(p) == covers._up_irred(word) - 1
+                assert count_lower_covers(p) == \
+                    word.count("UD") + word.count("DU") - 1
+                if a + r <= 9:
+                    assert count_upper_covers(p) == len(upper_covers(p))
+                    assert count_lower_covers(p) == len(lower_covers(p))

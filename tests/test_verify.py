@@ -1,3 +1,5 @@
+import pytest
+
 from shipat import verify
 from shipat.cli import main
 
@@ -6,6 +8,11 @@ def test_pool_matches_serial():
     serial = verify.run_suite("all", n_max=4, jobs=1)
     assert verify.run_suite("all", n_max=4, jobs=2) == serial
     assert all(result.ok for result in serial)
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
 
 
 VERIFY_N4 = """\
