@@ -431,8 +431,13 @@ def _strip_rows(k: int, n_max: int) -> list[int]:
     only up to index n_max - x, so the walk narrows as it nears n_max:
     at most (n_max + 1) k steps of three integer additions.
     """
-    if n_max < k:  # no tableau of size below k contains the pattern
-        return [catalan(n + 1) for n in range(n_max + 1)]
+    if n_max < k:
+        # no tableau of size below k contains the pattern: row n is C(n + 1),
+        # stepped as C(n + 2) = C(n + 1) 2(2n + 3) / (n + 3)
+        rows = [1]
+        for n in range(n_max):
+            rows.append(rows[-1] * 2 * (2 * n + 3) // (n + 3))
+        return rows
     col = [1] * k + [0]
     conv = [0] * (k + 1)
     rows = []

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import re
 from functools import total_ordering
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, count
+from operator import attrgetter, sub
 from typing import Iterator, Sequence
 
 
@@ -195,6 +195,13 @@ def _word_heights(word: str) -> list[int]:
     return list(accumulate(steps))
 
 
+def _steps_before(word: str, step: str) -> list[int]:
+    """For each occurrence of ``step`` in order, the number of the other
+    steps before it: the pieces of the word split at ``step`` are the runs
+    of the other step between two occurrences."""
+    return list(accumulate(map(len, word.split(step)[:-1])))
+
+
 def _word_cuts(heights: list[int], base: int) -> list[int]:
     """0 and the end of every step back at height ``base``; the last height
     must be ``base``.  These bound the ground factors of a word for base 0
@@ -317,20 +324,7 @@ class ShiTableau(_Ordered):
 
 def area_vector(p: DyckPath) -> tuple[int, ...]:
     """Area vector of a path: a_i = (i - 1) - #D before the i-th U step."""
-    return _word_area_vector(p.word)
-
-
-def _word_area_vector(word: str) -> tuple[int, ...]:
-    out = []
-    downs = 0
-    i = 0
-    for char in word:
-        if char == "U":
-            i += 1
-            out.append(i - 1 - downs)
-        else:
-            downs += 1
-    return tuple(out)
+    return tuple(map(sub, count(), _steps_before(p.word, "U")))
 
 
 def path_to_tableau(p: DyckPath) -> ShiTableau:
@@ -427,51 +421,24 @@ def syt_to_path(s: StandardTableau2) -> DyckPath:
 
 def height(p: DyckPath) -> int:
     """Maximal prefix height of the path (0 for the empty path)."""
-    return _word_height(p.word)
-
-
-def _word_height(word: str) -> int:
-    best = 0
-    h = 0
-    for char in word:
-        h += 1 if char == "U" else -1
-        if h > best:
-            best = h
-    return best
+    return max(_word_heights(p.word), default=0)
 
 
 def peaks(p: DyckPath) -> list[tuple[int, int]]:
     """Occurrences of UD as (index of the U step, height at the peak)."""
-    out = []
-    h = 0
-    for t, char in enumerate(p.word, start=1):
-        h += 1 if char == "U" else -1
-        if char == "U" and t < len(p.word) and p.word[t] == "D":
-            out.append((t, h))
-    return out
+    return _turns(p.word, "UD")
 
 
 def valleys(p: DyckPath) -> list[tuple[int, int]]:
     """Occurrences of DU as (index of the D step, height at the valley)."""
-    out = []
-    h = 0
-    for t, char in enumerate(p.word, start=1):
-        h += 1 if char == "U" else -1
-        if char == "D" and t < len(p.word) and p.word[t] == "U":
-            out.append((t, h))
-    return out
+    return _turns(p.word, "DU")
 
 
-def _down_step_heights(p: DyckPath) -> list[int]:
-    """h_j = number of U steps before the j-th D step, for j = 1..s."""
-    out = []
-    ups = 0
-    for char in p.word:
-        if char == "U":
-            ups += 1
-        else:
-            out.append(ups)
-    return out
+def _turns(word: str, pair: str) -> list[tuple[int, int]]:
+    # two occurrences of UD (or of DU) never overlap
+    heights = _word_heights(word)
+    return [(m.start() + 1, heights[m.start()])
+            for m in re.finditer(pair, word)]
 
 
 def return_points(p: DyckPath) -> list[int]:
@@ -481,7 +448,7 @@ def return_points(p: DyckPath) -> list[int]:
     points where the bounce path comes back to the diagonal; the origin is
     not listed.
     """
-    h = _down_step_heights(p)
+    h = _steps_before(p.word, "D")
     points = []
     j = 0
     while j < p.semilength:
@@ -492,7 +459,7 @@ def return_points(p: DyckPath) -> list[int]:
 
 def bounce_path(p: DyckPath) -> DyckPath:
     """The bounce path: travel up along the path, drop to the diagonal, repeat."""
-    h = _down_step_heights(p)
+    h = _steps_before(p.word, "D")
     chunks = []
     j = 0
     while j < p.semilength:

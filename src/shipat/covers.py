@@ -1,41 +1,43 @@
 """Closed-form cover counting, cross-validated against brute enumeration.
 
-Lower covers of a path are counted from its shape: a handful of special
-families have fixed counts, strongly irreducible paths contribute
-peaks + valleys, and composite paths are handled by recursions over the
-irreducible and strongly-irreducible decompositions.
+Both counts read the word alone.  String comparison picks out the special
+shapes (empty, minimum, zigzag, pyramid, peak-run and symmetric), whose
+counts follow from the shape.  Any other word takes one pass of prefix
+heights, which cuts it into its ground factors and, inside each factor f
+of semilength >= 2, into the parts U g D for the interior factors g of f
+(the factors of f[1:-1] at height one).  A part is a pyramid, a symmetric
+word or strongly irreducible, and takes a leaf rule; nothing is
+dispatched again and nothing recurses.
 
-Upper covers are counted by the column formula
+Lower covers: a part counts peaks + valleys, one less if it is symmetric.
+Each factor adds its number of parts, a run of adjacent UUDD parts
+counting once, and the word adds one for a UD at either end, less one.
 
-    up_irred(p) = 2s + 1 + sum_i b_i * colU(p, a_1 + ... + a_i)
+Upper covers: a factor f other than UD counts the column formula
+
+    up_irred(f) = 2s + 1 + sum_i b_i * colU(f, a_1 + ... + a_i)
 
 (s the semilength, (a_i, b_i) the run form, colU counting U steps in a
-column subpath), corrected per dispatch branch.  For an irreducible path
-the correction is (number of generic strongly-irreducible interior
-components) - 1, which subsumes the "minus one" exceptions of the special
-families; concatenations at ground level compose as
+column subpath) less one, plus one for each part that is neither a
+pyramid nor symmetric; a factor UD counts 2.  Ground factors compose as
 
     |UC(x + y)| = |UC(x)| + |UC(y)| + lastdescent(x) * firstascent(y) - 1.
 
-The dispatch and the counts read the word alone.  String comparison picks
-out the special families, whose counts follow from their shape; any other
-word takes one pass of prefix heights, which decides the branch and cuts
-out the factors of the decompositions for the recursion to pass on as
-strings.  Every closed branch here is audited against brute force by
-:func:`audit_cover_counts`, an acceptance test.
+:func:`classify_branch` names the special shape, or splits the rest three
+ways by the first return to height 0 and 1.  Every branch is audited
+against brute force by :func:`audit_cover_counts`, an acceptance test.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, starmap
-
 from .core import (
     DyckPath,
     _Record,
-    enumerate_paths,
-    is_irreducible,
+    _steps_before,
     _word_cuts,
     _word_heights,
+    enumerate_paths,
+    is_irreducible,
 )
 from .poset import IndexOutOfRange, lower_covers, upper_covers
 
@@ -56,47 +58,56 @@ ALL_BRANCHES = (
     BRANCH_IRR_COMPOSITE, BRANCH_REDUCIBLE,
 )
 
-# The 4n-5 upper-cover formula for U(UD)^{n-1}D (n = semilength) is negative
-# at n = 2; the oracle audit shows it is exact for every n >= 3, and
-# classify_branch sends the n <= 2 paths UD and U^2D^2 to the minimum and
-# pyramid branches first, so the formula never sees them.
-PEAK_RUN_MIN_SEMILENGTH = 3
+
+def _special_branch(w: str) -> str | None:
+    """The special shape of a Dyck word, by string comparison, or None."""
+    s = len(w) // 2
+    if s < 2:
+        return BRANCH_MINIMUM if s else BRANCH_EMPTY
+    if w == "UD" * s:
+        return BRANCH_ZIGZAG
+    if w == "U" * s + "D" * s:
+        return BRANCH_PYRAMID
+    if w == "U" + "UD" * (s - 1) + "D":
+        return BRANCH_PEAK_RUN
+    if _is_symmetric(w):
+        return BRANCH_SYMMETRIC
+    return None
+
+
+def _is_symmetric(w: str) -> bool:
+    """Whether w is U^a (DU)^r D^a with a >= 3 and r >= 1."""
+    a, s = w.find("D"), len(w) // 2
+    return 3 <= a < s and w == "U" * a + "DU" * (s - a) + "D" * a
 
 
 def classify_branch(p: DyckPath) -> str:
     """Total classification of a path into exactly one dispatch branch."""
-    return _dispatch(p.word)[0]
-
-
-def _dispatch(w: str, heights: list[int] | None = None
-              ) -> tuple[str, list[int] | None]:
-    """The dispatch branch of a Dyck word, and its prefix heights.
-
-    The special families are told apart by comparing the word with their
-    shapes, so only a word outside them needs its heights; they are
-    computed here unless given, and stay as given for a special word.
-    """
-    s = len(w) // 2
-    if s < 2:
-        return (BRANCH_MINIMUM if s else BRANCH_EMPTY), heights
-    if w == "UD" * s:
-        return BRANCH_ZIGZAG, heights
-    if w == "U" * s + "D" * s:
-        return BRANCH_PYRAMID, heights
-    if w == "U" + "UD" * (s - 1) + "D":
-        return BRANCH_PEAK_RUN, heights
-    # symmetric: U^a (DU)^r D^a with a >= 3 and r >= 1
-    a = w.find("D")
-    if 3 <= a < s and w == "U" * a + "DU" * (s - a) + "D" * a:
-        return BRANCH_SYMMETRIC, heights
-    if heights is None:
-        heights = _word_heights(w)
+    w = p.word
+    special = _special_branch(w)
+    if special is not None:
+        return special
+    heights = _word_heights(w)
     # irreducible: h > 0 before the end; strongly: h > 1 inside the end steps
     if heights.index(0) < len(w) - 1:
-        return BRANCH_REDUCIBLE, heights
+        return BRANCH_REDUCIBLE
     if heights.index(1, 1) < len(w) - 2:
-        return BRANCH_IRR_COMPOSITE, heights
-    return BRANCH_STRONG, heights
+        return BRANCH_IRR_COMPOSITE
+    return BRANCH_STRONG
+
+
+def _factor_parts(w: str) -> list[tuple[str, list[str]]]:
+    """Every ground factor f of a Dyck word with the parts U g D of the
+    interior factors g of f, from one pass of prefix heights: inside f the
+    heights of f[1:-1] return to one at the end of each g."""
+    heights = _word_heights(w)
+    cuts = _word_cuts(heights, 0)
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        inner = [a + 1 + c for c in _word_cuts(heights[a + 1:b - 1], 1)]
+        out.append((w[a:b], ["U" + w[c:d] + "D"
+                             for c, d in zip(inner, inner[1:])]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +117,8 @@ def _dispatch(w: str, heights: list[int] | None = None
 
 def _ucount_table(w: str) -> list[int]:
     """t = [0, 0, u_1, ..., u_s, s] with u_j the U steps before D_j, so
-    that colU(c) = t[c + 2] - t[c]: the pieces of the word split at its D
-    steps are the U runs between them."""
-    return [0, 0, *accumulate(map(len, w.split("D")))]
+    that colU(c) = t[c + 2] - t[c]."""
+    return [0, 0, *_steps_before(w, "D"), len(w) // 2]
 
 
 def column_subpath_ucount(p: DyckPath, c: int) -> int:
@@ -138,14 +148,6 @@ def _up_irred(w: str) -> int:
             - sum(map(table.__getitem__, ups)))
 
 
-def _wrapped_parts(w: str, heights: list[int]) -> list[tuple[str, list[int]]]:
-    """U f D and its heights, for every interior factor f of an irreducible
-    word: the heights of f inside the word are its own, raised by one."""
-    cuts = _word_cuts(heights[1:-1], 1)
-    return [("U" + w[a + 1:b + 1] + "D", [1, *heights[a + 1:b + 1], 0])
-            for a, b in zip(cuts, cuts[1:])]
-
-
 # ---------------------------------------------------------------------------
 # Lower covers
 # ---------------------------------------------------------------------------
@@ -153,13 +155,10 @@ def _wrapped_parts(w: str, heights: list[int]) -> list[tuple[str, list[int]]]:
 
 def count_lower_covers(p: DyckPath) -> int:
     """Closed count of |lower_covers(p)| for semilength >= 1."""
-    if not p.word:
+    w = p.word
+    if not w:
         raise ValueError("lower covers need semilength >= 1")
-    return _count_lower(p.word)
-
-
-def _count_lower(w: str, heights: list[int] | None = None) -> int:
-    branch, heights = _dispatch(w, heights)
+    branch = _special_branch(w)
     if branch == BRANCH_MINIMUM:
         return 0
     if branch in (BRANCH_ZIGZAG, BRANCH_PYRAMID):
@@ -170,22 +169,14 @@ def _count_lower(w: str, heights: list[int] | None = None) -> int:
     if branch == BRANCH_SYMMETRIC:
         # peaks + valleys - 1 of U^a (DU)^r D^a: (r + 1) + r - 1
         return len(w) - 2 * w.find("D")
-    if branch == BRANCH_STRONG:
-        # peaks + valleys
-        return w.count("UD") + w.count("DU")
-    if branch == BRANCH_IRR_COMPOSITE:
-        # One less than the parts plus |LC(U part D)| over every part; a run
-        # of r interior factors UD is one part, r pyramids UUDD in the sum.
-        parts = _wrapped_parts(w, heights)
-        merged = sum(1 for (a, _), (b, _) in zip(parts, parts[1:])
-                     if a == b == "UUDD")
-        return len(parts) - merged - 1 + sum(starmap(_count_lower, parts))
-    # Reducible: a connecting part between any two ground factors other
-    # than UD and one for UD at either end, plus |LC| of those factors.
-    cuts = _word_cuts(heights, 0)
-    others = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 2]
-    return (len(others) - 1 + w.startswith("UD") + w.endswith("UD")
-            + sum(_count_lower(w[a:b], heights[a:b]) for a, b in others))
+    total = w.startswith("UD") + w.endswith("UD") - 1
+    for _, parts in _factor_parts(w):
+        # a run of adjacent UUDD parts counts as one part
+        total += len(parts) - sum(1 for left, right in zip(parts, parts[1:])
+                                  if left == right == "UUDD")
+        total += sum(v.count("UD") + v.count("DU") - _is_symmetric(v)
+                     for v in parts)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -195,36 +186,31 @@ def _count_lower(w: str, heights: list[int] | None = None) -> int:
 
 def count_upper_covers(p: DyckPath) -> int:
     """Closed count of |upper_covers(p)|."""
-    return _count_upper(p.word)
-
-
-def _count_upper(w: str, heights: list[int] | None = None) -> int:
-    branch, heights = _dispatch(w, heights)
+    w = p.word
+    branch = _special_branch(w)
     if branch == BRANCH_EMPTY:
         return 1
     if branch in (BRANCH_MINIMUM, BRANCH_ZIGZAG, BRANCH_PYRAMID):
         return len(w)  # 2s
     if branch == BRANCH_PEAK_RUN:
-        return 2 * len(w) - 5  # 4s - 5
+        return 2 * len(w) - 5  # 4s - 5, s >= 3: UUDD is a pyramid
     if branch == BRANCH_SYMMETRIC:
         # the column formula minus one on U^a (DU)^r D^a; colU telescopes
         # to 2r - 2a + 3 for r >= a, to 1 for r = a - 1 and to 0 below
         a = w.find("D")
         r = len(w) // 2 - a
         return 4 * r + 3 if r >= a - 1 else len(w)
-    if branch == BRANCH_STRONG:
-        return _up_irred(w)
-    if branch == BRANCH_IRR_COMPOSITE:
-        # U f D is strongly irreducible: generic outside the special families
-        generic = sum(1 for v, h in _wrapped_parts(w, heights)
-                      if _dispatch(v, h)[0] == BRANCH_STRONG)
-        return _up_irred(w) + generic - 1
-    # Reducible: compose the ground factors left to right.
-    cuts = _word_cuts(heights, 0)
-    factors = [w[a:b] for a, b in zip(cuts, cuts[1:])]
-    total = sum(_count_upper(f, heights[a:b])
-                for f, a, b in zip(factors, cuts, cuts[1:]))
-    for left, right in zip(factors, factors[1:]):
+    factors = _factor_parts(w)
+    total = 0
+    for factor, parts in factors:
+        if factor == "UD":
+            total += 2
+        else:
+            # one for each part that is neither U^m D^m nor symmetric
+            total += _up_irred(factor) - 1 + sum(
+                1 for v in parts
+                if 2 * v.find("D") != len(v) and not _is_symmetric(v))
+    for (left, _), (right, _) in zip(factors, factors[1:]):
         total += ((len(left) - len(left.rstrip("D")))
                   * (len(right) - len(right.lstrip("U"))) - 1)
     return total
@@ -257,21 +243,19 @@ class AuditReport(_Record):
     """Outcome of the brute-force audit of the closed cover counts."""
 
     __slots__ = ("max_semilength", "paths_checked", "branch_counts",
-                 "mismatches", "fallbacks")
+                 "mismatches")
     max_semilength: int
     paths_checked: int
     branch_counts: dict[str, int]
     mismatches: list[tuple[str, str, str, int, int]]
-    fallbacks: list[tuple[str, str]]
 
     def __init__(self, max_semilength: int, paths_checked: int = 0,
                  branch_counts: dict[str, int] | None = None,
-                 mismatches: list[tuple[str, str, str, int, int]] | None = None,
-                 fallbacks: list[tuple[str, str]] | None = None) -> None:
+                 mismatches: list[tuple[str, str, str, int, int]] | None = None
+                 ) -> None:
         self._fill(max_semilength, paths_checked,
                    {} if branch_counts is None else branch_counts,
-                   [] if mismatches is None else mismatches,
-                   [] if fallbacks is None else fallbacks)
+                   [] if mismatches is None else mismatches)
 
     @property
     def ok(self) -> bool:
@@ -283,16 +267,6 @@ class AuditReport(_Record):
         for branch in ALL_BRANCHES:
             if branch in self.branch_counts:
                 lines.append(f"  branch {branch}: {self.branch_counts[branch]} paths")
-        if self.fallbacks:
-            lines.append(f"  brute fallbacks (excluded from closed formulas): "
-                         f"{len(self.fallbacks)}")
-            for word, why in self.fallbacks:
-                lines.append(f"    {word}: {why}")
-        else:
-            lines.append("  brute fallbacks: none "
-                         "(4n-5 peak-run range starts at semilength "
-                         f"{PEAK_RUN_MIN_SEMILENGTH}; smaller cases belong to "
-                         "other families)")
         lines.append(f"  mismatches: {len(self.mismatches)}")
         for word, branch, which, closed, brute in self.mismatches[:20]:
             lines.append(f"    {which} {word} [{branch}]: closed={closed} brute={brute}")
@@ -312,8 +286,6 @@ def audit_cover_counts(max_semilength: int = 8) -> AuditReport:
             branch = classify_branch(p)
             report.paths_checked += 1
             report.branch_counts[branch] = report.branch_counts.get(branch, 0) + 1
-            if branch == BRANCH_PEAK_RUN and s < PEAK_RUN_MIN_SEMILENGTH:
-                report.fallbacks.append((p.word, "peak-run below 4n-5 range"))
             closed_lc = count_lower_covers(p)
             brute_lc = len(lower_covers(p))
             if closed_lc != brute_lc:

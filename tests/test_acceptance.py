@@ -50,8 +50,8 @@ def test_criterion_1_cover_formula_audit():
     start = time.monotonic()
     report = audit_cover_counts(8)
     elapsed = time.monotonic() - start
-    detail = (f"{report.paths_checked} paths, {len(report.mismatches)} mismatches, "
-              f"{len(report.fallbacks)} fallbacks, {elapsed:.1f}s")
+    detail = (f"{report.paths_checked} paths, "
+              f"{len(report.mismatches)} mismatches, {elapsed:.1f}s")
     for line in report.summary_lines():
         print("   ", line)
     _report(1, "cover-formula audit", report.ok and elapsed < 30.0, detail)
@@ -118,7 +118,7 @@ def test_criterion_4_f_count_grid():
         if f_count(m, n, k) != f_count_oracle(m, n, k))
     elapsed = time.monotonic() - start
     detail = f"3969 triples, {mismatches} mismatches, {elapsed:.2f}s"
-    _report(4, "reflection formula vs DP oracle", mismatches == 0 and elapsed < 5.0, detail)
+    _report(4, "strip-count formula vs DP oracle", mismatches == 0 and elapsed < 5.0, detail)
 
 
 def test_criterion_5_zeta():

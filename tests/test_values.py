@@ -64,10 +64,9 @@ ROWS = [
      "CheckResult(suite='core', name='bounce', ok=True, detail='fine')",
      {"suite": "core", "name": "bounce", "ok": False, "detail": "fine"}, None),
     (AuditReport, {"max_semilength": 3, "paths_checked": 5,
-                   "branch_counts": {"zigzag": 5}, "mismatches": [],
-                   "fallbacks": []},
+                   "branch_counts": {"zigzag": 5}, "mismatches": []},
      "AuditReport(max_semilength=3, paths_checked=5, "
-     "branch_counts={'zigzag': 5}, mismatches=[], fallbacks=[])",
+     "branch_counts={'zigzag': 5}, mismatches=[])",
      {"max_semilength": 3}, None),
 ]
 IDS = [row[0].__name__ for row in ROWS]
@@ -162,7 +161,7 @@ def test_sequence_fields_are_stored_as_tuples(cls, kwargs, text, other, bad):
 def test_audit_report_is_mutable_and_unhashable():
     report = AuditReport(3)
     assert report == AuditReport(max_semilength=3, paths_checked=0,
-                                 branch_counts={}, mismatches=[], fallbacks=[])
+                                 branch_counts={}, mismatches=[])
     report.paths_checked += 1
     report.branch_counts["zigzag"] = 1
     assert report.paths_checked == 1
