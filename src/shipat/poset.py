@@ -16,15 +16,17 @@ steps that starts the word or follows a D, and the new D goes once at the
 start of its legal range, where it becomes D_{i-1} or D_i of the new U_i
 and the word stays a Dyck word, and once after each U step in that range,
 since a D placed anywhere in a run of D steps gives the same word.  Child
-words are Dyck by construction, collected in a set and turned into paths
-unchecked, so a cover set costs O(s) per candidate child instead of a
-search over all O(s^2) insertion pairs; :func:`upper_covers_by_search`
+words are Dyck by construction and go straight into a set the caller
+passes: :func:`upper_covers` passes a fresh one and turns its words into
+paths unchecked, so a cover set costs O(s) per candidate child instead of
+a search over all O(s^2) insertion pairs; :func:`upper_covers_by_search`
 keeps that search, validating each candidate, as the independent oracle.
 
 Containment has two stateless routes: :func:`contains_pattern` solves
 monotone constraints on step indices for the least embedding and builds
 no cover; :func:`up_set` sweeps the up-set of a pattern by bounce
-insertions on the cover kernel, for every host of a semilength at once.
+insertions on the cover kernel, for every host of a semilength at once,
+filling each level in place as one set of words.
 """
 
 from __future__ import annotations
@@ -93,9 +95,11 @@ def _drop_two(word: str, a: int, b: int) -> str:
     return word[:a] + word[a + 1:b] + word[b + 1:]
 
 
-def _insertion_words(word: str) -> set[str]:
-    """Every word that deletes to ``word`` by one bounce deletion, each
-    built once per U class and D run of its parent.
+def _insertion_words(word: str, out: set[str]) -> set[str]:
+    """Add to ``out`` every word that deletes to ``word`` by one bounce
+    deletion, each built once per U class and D run of its parent, and
+    return ``out``; a caller that sweeps many parents passes the set it is
+    filling, so no per-parent set is built or merged.
 
     A new U at ``u_spot`` becomes U_i.  The new D must become D_{i-1} or
     D_i, so it goes after D_{i-2} and at or before D_i of the word with the
@@ -115,25 +119,28 @@ def _insertion_words(word: str) -> set[str]:
     """
     n = len(word)
     downs = [pos for pos, char in enumerate(word) if char == "D"]
-    s = len(downs)
-    out: set[str] = set()
-    a = last_zero = 0
+    downs.append(n)  # the class after the last D ends at the end
+    add = out.add
+    a = last_zero = j = 0
     # class j starts at a, 0 or just after the j-th D, and ends at the next
     # D or the end of the word, e; a - j U steps and j D steps come before
     # a, so the path is back on the diagonal at a iff a == 2j
-    for j, e in enumerate([*downs, n]):
+    for e in downs:
         if a == 2 * j:
             last_zero = a
         i0, i1 = a - j + 1, e - j + 1
-        # D_k for k < 1 sits before the word and D_{s+1} after it
-        lo = max(-1 if i0 <= 2 else downs[i0 - 3], last_zero)
-        hi = n + 1 if i1 > s else downs[i1 - 1] + 1
+        # D_k for k < 1 sits before the word and D_{s+1}, at n, after it
+        lo = -1 if i0 <= 2 else downs[i0 - 3]
+        if lo < last_zero:
+            lo = last_zero
+        hi = downs[i1 - 1] + 1
         with_u = word[:a] + "U" + word[a:]
-        out.add(with_u[:lo + 1] + "D" + with_u[lo + 1:])
+        add(with_u[:lo + 1] + "D" + with_u[lo + 1:])
         for d_spot in range(lo + 2, hi + 1):
             if with_u[d_spot - 1] == "U":
-                out.add(with_u[:d_spot] + "D" + with_u[d_spot:])
+                add(with_u[:d_spot] + "D" + with_u[d_spot:])
         a = e + 1
+        j += 1
     return out
 
 
@@ -245,7 +252,7 @@ def upper_covers(p: DyckPath) -> frozenset[DyckPath]:
     A path above :data:`COVERS_MAX_SEMILENGTH` raises :class:`ResourceLimit`.
     """
     _check_cover_size(p)
-    return frozenset(map(DyckPath._trusted, _insertion_words(p.word)))
+    return frozenset(map(DyckPath._trusted, _insertion_words(p.word, set())))
 
 
 def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
@@ -368,7 +375,9 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
     that contain q, for s = 0..s_max.
 
     Each level above q is every word one bounce insertion above the level
-    before; the kernel builds only Dyck words, so none is checked again.
+    before: the kernel adds the children of each word of that level
+    straight into one set, frozen once it is full, so no set is built per
+    parent.  The kernel builds only Dyck words, so none is checked again.
     """
     levels: list[frozenset[str]] = [frozenset()] * (s_max + 1)
     if q.semilength <= s_max:
@@ -376,7 +385,10 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
     # No path of semilength >= 1 contains the empty path: UD has no lower
     # covers, although the single insertion into the empty word is UD.
     for s in range(q.semilength + 1, s_max + 1 if q.word else 0):
-        levels[s] = frozenset().union(*map(_insertion_words, levels[s - 1]))
+        level: set[str] = set()
+        for word in levels[s - 1]:
+            _insertion_words(word, level)
+        levels[s] = frozenset(level)
     return levels
 
 

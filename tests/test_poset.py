@@ -219,6 +219,36 @@ class TestInsertionKernel:
         ups = {q.word for q in upper_covers(DyckPath(word))}
         assert ups == _upper_by_all_pairs(word)
 
+    def test_fills_the_set_it_is_given(self):
+        words = [p.word for s in range(7) for p in enumerate_paths(s)]
+        expected = {word: _upper_by_all_pairs(word) for word in words}
+        for first in words:
+            filled = poset._insertion_words(first, set())
+            for second in words:
+                out = set(filled)
+                assert poset._insertion_words(second, out) is out
+                assert out == expected[first] | expected[second]
+
+
+def _up_set_by_covers(q, s_max):
+    """The up-set of a nonempty q by levels, each the union of the upper
+    covers of the level below."""
+    levels = [set() for _ in range(s_max + 1)]
+    levels[q.semilength] = {q.word}
+    for s in range(q.semilength + 1, s_max + 1):
+        levels[s] = {c.word for word in levels[s - 1]
+                     for c in upper_covers(DyckPath(word))}
+    return levels
+
+
+class TestUpSet:
+    def test_levels_match_a_sweep_by_upper_covers(self):
+        for s in range(1, 5):
+            for q in enumerate_paths(s):
+                levels = up_set(q, 8)
+                assert all(type(level) is frozenset for level in levels)
+                assert levels == _up_set_by_covers(q, 8)
+
 
 class TestKernelAtScale:
     @pytest.mark.parametrize("seed", [11, 22, 33, 44, 55, 66])
