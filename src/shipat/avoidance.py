@@ -23,9 +23,9 @@ sums, S_r = sum of C(m + n, j) over j = r (mod k + 2), which is what the
 reflection-principle sum telescopes to.  A narrow strip reads them off
 (1 + x)^{m+n} modulo x^{k+2} - 1, squared up with no division; a wide one
 sums the reflection terms, exact integer divisions with a zero remainder
-asserted.  The tv/tor rows need a strip count for every endpoint of a
-band, and all rows up to a size read them off one column-by-column walk of
-the strip, each column a running sum of the one before.
+asserted.  The rows of every family up to a size come off one
+column-by-column walk of a strip, each column a running sum of the one
+before: te/tf/tg rows read its diagonal, tv/tor rows add a band sum to it.
 """
 
 from __future__ import annotations
@@ -410,81 +410,81 @@ def _bounded_height_family(tag: str, k: int) -> bool:
     return tag in ("te", "tf") or (tag == "tg" and k >= 3)
 
 
-def _strip_rows(k: int, n_max: int) -> list[int]:
-    """The tv_k avoider counts of sizes 0..n_max, from one walk over the
-    columns x = 0..n_max of the strip x <= y <= x + k - 1.
+def _strip_walk(k: int, n_max: int) -> tuple[list[int], list[int]]:
+    """One walk over the columns x = 0..n_max of the strip x <= y <= x + k - 1,
+    giving for each column f(x, x, k - 1) and A_x[0] below, in two lists.
 
-    Row n is the sum over x < n and h < k of C(n - 1 - x, h) f(x, x + h,
-    k - 1), plus f(n, n, k - 1).  At column x the walk holds
+    At column x the walk holds
 
     * ``col[h]`` = f(x, x + h, k - 1).  A path enters (x, x + h) from
       (x - 1, x + h) or from (x, x + h - 1), so each column is a running
       sum of the one before; ``col[k]`` = 0 stands for the point
       (x - 1, x + k) outside the strip;
     * ``conv[j]`` = A_x[j], the sum over x' < x and h of
-      C(x - 1 - x', h - j) f(x', x' + h, k - 1), so that row n is
-      A_n[0] + col[0].  Pascal's rule gives
+      C(x - 1 - x', h - j) f(x', x' + h, k - 1), so that the tv_k row n is
+      A_n[0] + f(n, n, k - 1).  Pascal's rule gives
       A_{x+1}[j] = A_x[j] + A_x[j + 1] + f(x, x + j, k - 1), and no
       binomial is computed.
 
-    Row n reads ``col`` and ``conv`` only at index 0, which needs column x
-    only up to index n_max - x, so the walk narrows as it nears n_max:
-    at most (n_max + 1) k steps of three integer additions.
+    Only index 0 is read, which needs column x only up to index n_max - x,
+    so the walk narrows as it nears n_max: at most (n_max + 1) k steps of
+    three integer additions.
     """
-    if n_max < k:
-        # no tableau of size below k contains the pattern: row n is C(n + 1),
-        # stepped as C(n + 2) = C(n + 1) 2(2n + 3) / (n + 3)
-        rows = [1]
-        for n in range(n_max):
-            rows.append(rows[-1] * 2 * (2 * n + 3) // (n + 3))
-        return rows
     col = [1] * k + [0]
     conv = [0] * (k + 1)
-    rows = []
+    diagonal, below = [], []
     for x in range(n_max + 1):
-        rows.append(conv[0] + col[0])
+        diagonal.append(col[0])
+        below.append(conv[0])
         run = 0
         for h in range(min(k, n_max - x)):
             conv[h] += conv[h + 1] + col[h]
             run += col[h + 1]
             col[h] = run
-    return rows
+    return diagonal, below
 
 
 def avoider_rows(tag: str, k: int, n_max: int) -> list[int]:
     """[|Av_0|, ..., |Av_{n_max}|] of the family pattern by the closed
-    formulas.
+    formulas, every row from one walk of a strip (:func:`_strip_walk`).
 
-    te, tf and (for k >= 3) tg avoiders are bounded-height paths, and each
-    of their rows is one :func:`bounded_height_count`.  tv and tor avoiders
-    split by the number l of non-empty rows: a full-size strip count
-    f(n, n, k - 1) for l = n, and for l < n a convolution of free prefixes
-    with strip-confined suffix paths, the sum over h of
-    C(n - l + h - 1, h) f(l - h, l, k - 1).  For l < k the strip does not
-    bind, since the stripped tableau has l rows, and the term is the ballot
-    number B(n, l): every tableau with l non-empty rows avoids.  All rows
-    come off one walk of the strip, O(n_max * k) integer additions in all.
-    At size two tg sits in the tv/tor Wilf class instead, with
-    C(n+1, 2) + 1 avoiders, which is what the tv walk gives there.  The
-    family, the size and :data:`CLOSED_MAX_TABLEAU_SIZE`
+    No tableau of size below k contains the pattern, so rows n < k are the
+    Catalan numbers C(n + 1) in every family.  te, tf and (for k >= 3) tg
+    avoiders are the paths of height at most k, so row n is
+    f(n + 1, n + 1, k), read off the walk of width k + 1.  tv and tor
+    avoiders split by the number l of non-empty rows: a full-size strip
+    count f(n, n, k - 1) for l = n, and for l < n a convolution of free
+    prefixes with strip-confined suffix paths, the sum over h of
+    C(n - l + h - 1, h) f(l - h, l, k - 1), the ballot number B(n, l) for
+    l < k, where the strip does not bind; row n is the sum of both lists
+    of the walk of width k.  At size two tg sits in the tv/tor Wilf class
+    instead, with C(n+1, 2) + 1 avoiders, which is what the tv walk gives
+    there.  The family, the size and :data:`CLOSED_MAX_TABLEAU_SIZE`
     (:class:`~shipat.poset.ResourceLimit`) are checked before any work.
     """
     _check_family(tag, k)
     _check_closed_size(n_max)
+    # C(n + 2) = C(n + 1) 2(2n + 3) / (n + 3)
+    rows = [1]
+    for n in range(min(k, n_max + 1) - 1):
+        rows.append(rows[-1] * 2 * (2 * n + 3) // (n + 3))
+    if n_max < k:
+        return rows
     if _bounded_height_family(tag, k):
-        return [bounded_height_count(n + 1, k) for n in range(n_max + 1)]
-    return _strip_rows(k, n_max)
+        return rows + _strip_walk(k + 1, n_max + 1)[0][k + 1:]
+    diagonal, below = _strip_walk(k, n_max)
+    return rows + [a + b for a, b in zip(diagonal[k:], below[k:])]
 
 
 def count_avoiders_closed(tag: str, k: int, n: int) -> int:
     """|Av_n| of the family pattern by the closed formulas: one
-    :func:`bounded_height_count`, or the last row of the strip walk of
-    :func:`avoider_rows`."""
+    :func:`bounded_height_count` for te/tf/tg, which is faster for one value
+    than a walk, or the last row of :func:`avoider_rows`."""
     _check_family(tag, k)
     _check_closed_size(n)
     if _bounded_height_family(tag, k):
         return bounded_height_count(n + 1, k)
-    return _strip_rows(k, n)[-1]
+    return avoider_rows(tag, k, n)[-1]
 
 
 class WilfReport(_Frozen):

@@ -21,8 +21,8 @@ after ``error: <message>`` on stderr, 1 for
 cap is a library constant that raises ``ResourceLimit`` before any work.
 
 ``count-avoiders --method closed`` takes every row from one call of
-:func:`~shipat.avoidance.avoider_rows`: all tv/tor rows come off one walk
-of the strip, and the size cap is checked before it starts.
+:func:`~shipat.avoidance.avoider_rows`: the rows of every family come off
+one walk of a strip, and the size cap is checked before it starts.
 
 Each command imports only what it runs: :mod:`shipat.verify` is imported by
 ``verify`` alone, and its process pool only for ``verify --jobs N`` with

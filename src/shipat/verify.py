@@ -225,7 +225,6 @@ def _up_irred_from_runs(p: DyckPath) -> int:
         for i in range(1, len(cum_b)):
             if cum_b[i] >= j:
                 return i
-        return len(desc)
 
     total = 2 * s + 1
     for i in range(1, len(asc) + 1):

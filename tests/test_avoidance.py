@@ -228,11 +228,25 @@ class TestCounting:
     def test_rows_of_wide_strips(self):
         # below size k nothing contains the pattern, of semilength k + 1,
         # and at size k the pattern itself is the one tableau that does
-        for tag in ("tv", "tor"):
+        for tag in FAMILY_TAGS:
             for k in (2, 7, 40, 300):
                 rows = avoider_rows(tag, k, k + 2)
                 assert rows[:k] == [catalan(n + 1) for n in range(k)]
                 assert rows[k] == catalan(k + 1) - 1
+
+    def test_rows_take_no_strip_count(self, monkeypatch):
+        # every row of every family comes off the strip walk alone
+        want = {(tag, k): avoider_rows(tag, k, 50)
+                for tag in FAMILY_TAGS for k in range(2, 7)}
+
+        def refuse(*args):
+            raise AssertionError(f"f_count{args}")
+
+        monkeypatch.setattr(avoidance, "f_count", refuse)
+        for (tag, k), rows in want.items():
+            assert avoider_rows(tag, k, 50) == rows, (tag, k)
+        with pytest.raises(AssertionError, match="f_count"):
+            bounded_height_count(5, 3)
 
     def test_negative_sizes_rejected(self):
         for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):

@@ -110,13 +110,13 @@ class TestCountAvoiders:
         assert err == "error: brute avoider counting capped at size 12\n"
 
     def test_closed_cap_fails_before_counting(self, capsys, monkeypatch):
-        # every closed row of every family is built from strip counts: one
-        # f_count each, or the tv/tor rows from one walk of the strip
+        # every closed row of every family comes off one walk of the strip,
+        # and a single value is at most one f_count
         calls = []
         monkeypatch.setattr(avoidance, "f_count",
                             lambda *args: calls.append(args) or 0)
-        monkeypatch.setattr(avoidance, "_strip_rows",
-                            lambda *args: calls.append(args) or [])
+        monkeypatch.setattr(avoidance, "_strip_walk",
+                            lambda *args: calls.append(args) or ([], []))
         for tag in avoidance.FAMILY_TAGS:
             code, out, err = run_cli(capsys, "count-avoiders", "--family",
                                      tag, "--k", "3", "--n-max", "2001")
@@ -125,8 +125,10 @@ class TestCountAvoiders:
 
     def test_closed_rows_finish_in_seconds(self, capsys):
         # every row comes off one walk of the strip; one walk per row took
-        # 31 s for tv_50 to 1000 on 2 vCPUs, and minutes for tor_2000
-        for family, k, n_max in (("tv", 50, 1000), ("tor", 2000, 2000)):
+        # 31 s for tv_50 to 1000 on 2 vCPUs and minutes for tor_2000, and
+        # one strip count per row took 3 s for tg_20 to 2000
+        for family, k, n_max in (("tv", 50, 1000), ("tor", 2000, 2000),
+                                 ("tg", 20, 2000), ("te", 1999, 2000)):
             start = time.monotonic()
             code, out, _ = run_cli(capsys, "count-avoiders", "--family",
                                    family, "--k", str(k), "--n-max",

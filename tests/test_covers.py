@@ -155,6 +155,19 @@ class TestAudit:
         text = "\n".join(report.summary_lines())
         assert "mismatches: 0" in text
 
+    def test_a_wrong_count_is_recorded_and_fails_verify(self, monkeypatch):
+        from shipat import verify
+        count = covers.count_upper_covers
+        monkeypatch.setattr(covers, "count_upper_covers",
+                            lambda p: count(p) + (p.word == "UUDUDD"))
+        report = audit_cover_counts(3)
+        assert not report.ok
+        assert report.mismatches == [("UUDUDD", "peak-run", "upper", 8, 7)]
+        assert "    upper UUDUDD [peak-run]: closed=8 brute=7" in \
+            report.summary_lines()
+        assert verify._run_one(("covers", "closed-vs-brute", 3)).line() == (
+            "FAIL covers.closed-vs-brute: 8 paths, 1 mismatches, 0 fallbacks")
+
 
 class TestWordLevelCounts:
     """The closed counts read the word alone; the brute cover sets of the
