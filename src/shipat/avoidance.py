@@ -22,7 +22,8 @@ strip counts.  A single strip count is a difference of two folded binomial
 sums, S_r = sum of C(m + n, j) over j = r (mod k + 2), which is what the
 reflection-principle sum telescopes to.  A narrow strip reads them off
 (1 + x)^{m+n} modulo x^{k+2} - 1, squared up with no division; a wide one
-sums the reflection terms, exact integer divisions with a zero remainder
+sums C(m + n, j) - C(m + n, j - 1) over the one class j = m (mod k + 2),
+each C(m + n, j - 1) an exact integer division with a zero remainder
 asserted.  The rows of every family up to a size come off one
 column-by-column walk of a strip, each column a running sum of the one
 before: te/tf/tg rows read its diagonal, tv/tor rows add a band sum to it.
@@ -31,7 +32,6 @@ before: te/tf/tg rows read its diagonal, tv/tor rows add a band sum to it.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from .core import (
     DyckPath,
@@ -207,23 +207,6 @@ def ballot_count(n: int, ell: int) -> int:
     return f_count(ell, n, n)
 
 
-def _binomial_run(size: int, j: int, step: int, count: int) -> Iterator[int]:
-    """Yield C(size, j + t * step) for t = 0 .. count - 1.
-
-    ``math.comb`` runs once; each later value comes from the one before by
-    ``step`` small factors and an exact division.
-    """
-    if count <= 0:
-        return
-    binom = math.comb(size, j)
-    yield binom
-    for j in range(j, j + (count - 1) * step, step):
-        # C(size, j + step) = C(size, j) (size - j)_step / (j + step)_step
-        binom = (binom * math.prod(range(size - j - step + 1, size - j + 1))
-                 // math.prod(range(j + 1, j + step + 1)))
-        yield binom
-
-
 def _strip_by_folding(m: int, n: int, k: int) -> int:
     """f(m, n, k) = S_{m mod P} - S_{(m - 1) mod P}, P = k + 2, for
     0 <= n - m <= k.
@@ -256,26 +239,29 @@ def _strip_by_folding(m: int, n: int, k: int) -> int:
 
 
 def _strip_by_reflection(m: int, n: int, k: int) -> int:
-    """f(m, n, k) as the reflection sum itself, for 0 <= n - m <= k.
+    """f(m, n, k) = S_{m mod P} - S_{(m - 1) mod P}, P = k + 2, for
+    0 <= n - m <= k, as one run over the class j = m (mod P).
 
-    Each term is numerator * C(m + n, j) // denominator in exact integer
-    arithmetic, with its zero remainder asserted.  The binomials of a sum
-    come from one ``math.comb`` stepped by k + 2 (``_binomial_run``); the
-    first sum reads C(m + n, m - i(k + 2)) as C(m + n, n + i(k + 2)).
+    Each C(N, j') with j' = m - 1 (mod P) is paired with C(N, j' + 1), so
+    f is the sum of C(N, j) - C(N, j - 1) over 0 <= j <= N, less
+    C(N, N) = 1 when N = m - 1 (mod P), that is when P divides n + 1.  ``math.comb`` runs once; the next
+    C(N, j + P) comes from C(N, j) by P small factors and an exact
+    division, and C(N, j - 1) = C(N, j) j / (N - j + 1), its zero remainder
+    asserted.
     """
     period = k + 2
-    total = 0
-    down = _binomial_run(m + n, n, period, m // period + 1)
-    for i, binom in enumerate(down):
-        term, rest = divmod((n - m + 2 * i * period + 1) * binom,
-                            n + i * period + 1)
+    size = m + n
+    binom = math.comb(size, m % period)
+    total = -1 if (n + 1) % period == 0 else 0
+    for j in range(m % period, size + 1, period):
+        before, rest = divmod(binom * j, size - j + 1)
         assert rest == 0
-        total += term
-    up = _binomial_run(m + n, m + period - 1, period, (n + 1) // period)
-    for i, binom in enumerate(up, start=1):
-        term, rest = divmod((n - m - 2 * i * period + 1) * binom, m + i * period)
-        assert rest == 0
-        total += term
+        total += binom - before
+        if j + period <= size:
+            # C(N, j + P) = C(N, j) (N - j)_P / (j + P)_P, falling factorials
+            left = size - j
+            binom = (binom * math.prod(range(left - period + 1, left + 1))
+                     // math.prod(range(j + 1, j + period + 1)))
     return total
 
 
@@ -305,20 +291,22 @@ def f_count(m: int, n: int, k: int) -> int:
       S_0..S_{P-1}, the coefficients of (1 + x)^N modulo x^P - 1, by
       squaring in about P^2 log N products and no division
       (``_strip_by_folding``);
-    * wide strips: the reflection sum, about 2N / P terms of one multi-limb
-      multiply and divide each (``_strip_by_reflection``).
+    * wide strips: the one class j = m (mod P), about N / P terms
+      C(N, j) - C(N, j - 1) of one multi-limb multiply and divide each
+      (``_strip_by_reflection``).
 
     The fold loses once P^3 outgrows N.  Timed at m = n = N / 2 on 2 vCPUs
     with Python 3.11 (best of 25 calls, two sweeps), the first k at which
-    the reflection sum won, and the largest k the rule folds:
+    the one-class run won, and the largest k the rule folds:
 
-        N                  50  100  200  400   1000   2000  4000
-        reflection wins     3    5    7   11  15-17  19-23    21
-        rule folds k <=     3    5    7    9     13     18    23
+        N                  50  100  200   400  1000   2000   4000
+        one class wins      3    4    6  7-10    15  17-18  18-19
+        rule folds k <=     3    5    7     9    13     18     23
 
-    Near the switch the two are within a factor of about 1.5 either way.
+    Near the switch the two are within a factor of about 1.5 either way;
+    at N = 4000 the fold of k = 23 is up to 1.9 times slower.
 
-    Ballot counts (k = n) always take the reflection sum.  An endpoint
+    Ballot counts (k = n) always take the one-class run.  An endpoint
     outside the strip admits no path at all, which is outside the
     reflection identity's domain, so that case returns 0 directly.
     """
@@ -354,19 +342,17 @@ def zeta(p: DyckPath) -> DyckPath:
 
     Reading the area vector once per level j, entries equal to j emit a U
     and entries equal to j - 1 emit a D; concatenating the level words gives
-    a path of the same semilength.  No level above max(area) + 1 emits a
-    step, so the cost is O(s * height).  The map is a bijection exchanging
-    the height bound for the bounce return-point bound.
+    a path of the same semilength.  So each entry a, in order, adds a U to
+    level a and a D to level a + 1, and one pass fills every level.  The
+    map is a bijection exchanging the height bound for the bounce
+    return-point bound.
     """
     area = area_vector(p)
-    chunks = []
-    for j in range(max(area, default=-1) + 2):
-        for a in area:
-            if a == j:
-                chunks.append("U")
-            elif a == j - 1:
-                chunks.append("D")
-    return DyckPath("".join(chunks))
+    levels = [[] for _ in range(max(area, default=-1) + 2)]
+    for a in area:
+        levels[a].append("U")
+        levels[a + 1].append("D")
+    return DyckPath("".join(map("".join, levels)))
 
 
 # ---------------------------------------------------------------------------

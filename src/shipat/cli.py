@@ -5,7 +5,7 @@ Subcommands expose the library with deterministic, scriptable output:
     shipat covers --path UUDUDD --dir lower --method both
     shipat count-avoiders --family tv --k 5 --n-max 13 --method closed
     shipat zeta --path UDUDUD
-    shipat poset --max-size 4 --format dot
+    shipat poset --max-size 4
     shipat region --area 0,0,1
     shipat verify --suite all --n-max 7
 
@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_poset = sub.add_parser("poset", help="emit the cover graph")
     p_poset.add_argument("--max-size", type=int, required=True)
-    p_poset.add_argument("--format", default="dot", choices=["dot"])
 
     p_region = sub.add_parser("region", help="Shi region inequalities of a tableau")
     p_region.add_argument("--area", required=True,

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import accumulate
 
@@ -137,6 +138,11 @@ class TestCounting:
         assert ballot_count(2, 1) == 2
         assert all(ballot_count(n, 0) == 1 for n in range(8))
         assert all(ballot_count(n, n) == catalan(n) for n in range(11))
+        # ballot paths to (l, n) are all paths less the reflected ones
+        for n in range(81):
+            for ell in range(1, n + 1):
+                want = math.comb(n + ell, ell) - math.comb(n + ell, ell - 1)
+                assert ballot_count(n, ell) == want, (n, ell)
         with pytest.raises(ValueError):
             ballot_count(2, 3)
 
@@ -409,6 +415,16 @@ class TestStripRoutes:
             m, k = rng.randint(1450, 1550), rng.randint(0, 12)
             n = m + rng.randint(0, k)
             assert _folds(m, n, k)
+            assert f_count(m, n, k) == f_count_oracle(m, n, k), (m, n, k)
+
+    def test_wide_strips_at_scale(self):
+        rng = random.Random(400)
+        for _ in range(12):
+            # m + n <= 1200, which the rule folds only for k <= 14
+            m = rng.randint(100, 400)
+            k = rng.randint(15, m)
+            n = m + rng.randint(0, k)
+            assert not _folds(m, n, k)
             assert f_count(m, n, k) == f_count_oracle(m, n, k), (m, n, k)
 
     def test_routes_agree_on_both_sides_of_the_switch(self):

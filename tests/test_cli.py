@@ -292,9 +292,11 @@ def test_illegal_counts_exit_2(capsys, argv, code, err):
 @pytest.mark.parametrize("argv, message", [
     (["poset", "--max-size", "3", "--max-nodes", "5"],
      "unrecognized arguments: --max-nodes 5"),
+    (["poset", "--max-size", "3", "--format", "dot"],
+     "unrecognized arguments: --format dot"),
     (["count-avoiders", "--family", "te", "--k", "x", "--n-max", "3"],
      "argument --k: invalid int value: 'x'"),
-], ids=["removed-flag", "bad-int"])
+], ids=["removed-flag", "removed-format", "bad-int"])
 def test_usage_error_returns_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -168,6 +168,14 @@ class TestAudit:
         assert verify._run_one(("covers", "closed-vs-brute", 3)).line() == (
             "FAIL covers.closed-vs-brute: 8 paths, 1 mismatches, 0 fallbacks")
 
+    def test_a_wrong_lower_count_is_recorded(self, monkeypatch):
+        count = covers.count_lower_covers
+        monkeypatch.setattr(covers, "count_lower_covers",
+                            lambda p: count(p) + (p.word == "UUDUDD"))
+        report = audit_cover_counts(3)
+        assert not report.ok
+        assert report.mismatches == [("UUDUDD", "peak-run", "lower", 3, 2)]
+
 
 class TestWordLevelCounts:
     """The closed counts read the word alone; the brute cover sets of the

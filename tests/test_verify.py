@@ -1,7 +1,8 @@
 import pytest
 
-from shipat import verify
+from shipat import DyckPath, verify
 from shipat.cli import main
+from shipat.poset import Deletion
 
 
 def test_pool_matches_serial():
@@ -40,3 +41,18 @@ ok avoidance.closed-vs-brute: all families, k 2..5, n 0..4
 def test_verify_all_stdout_golden(capsys):
     assert main(["verify", "--suite", "all", "--n-max", "4"]) == 0
     assert capsys.readouterr() == (VERIFY_N4, "")
+
+
+def test_a_collision_outside_both_cases_is_unclassified():
+    # the deleted U steps lie in different ascent runs, and the segment
+    # UUDDUUD that the four deleted steps span has interior runs of length 2
+    assert verify.classify_double_cover(
+        DyckPath("UUDDUUDD"), Deletion(1, 1), Deletion(3, 3)) == "unclassified"
+
+
+def test_an_unclassified_collision_fails_the_check(monkeypatch):
+    monkeypatch.setattr(verify, "classify_double_cover",
+                        lambda p, d1, d2: "unclassified")
+    assert verify._run_one(("covers", "double-cover", 4)).line() == (
+        "FAIL covers.double-cover: UDUD: Deletion(i=1, k=1) vs "
+        "Deletion(i=2, k=1)")
