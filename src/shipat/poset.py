@@ -24,14 +24,16 @@ keeps that search, validating each candidate, as the independent oracle.
 
 Containment has two stateless routes: :func:`contains_pattern` solves
 monotone constraints on step indices for the least embedding and builds
-no cover; :func:`up_set` sweeps the up-set of a pattern by bounce
-insertions on the cover kernel, for every host of a semilength at once,
-filling each level in place as one set of words.
+no cover; :func:`up_set` sweeps the up-set of a pattern level by level,
+for every host of a semilength at once.  It builds each word of a level
+once, from its canonical parent (the word without its first U and first
+D), and runs the insertion kernel only on the frontier: the words
+whose canonical parent avoids the pattern.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator
 
 from .core import (
@@ -374,21 +376,53 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
     """The up-set of q by levels: entry s holds the words of semilength s
     that contain q, for s = 0..s_max.
 
-    Each level above q is every word one bounce insertion above the level
-    before: the kernel adds the children of each word of that level
-    straight into one set, frozen once it is full, so no set is built per
-    parent.  The kernel builds only Dyck words, so none is checked again.
+    The canonical parent pi(c) of a word c of semilength >= 2 is c without
+    its first U and its first D, the bounce deletion delta(1, 1).  The
+    words with parent p are U p[:t] D p[t:] for 0 <= t <= p.find("D"), so
+    these sets are disjoint and together hold every word one size above.
+
+    *pi commutes with deletion.*  If s(c) >= 3 and p = delta(i, k)(c),
+    then pi(p) is a lower cover of pi(c).  For i, k >= 2, U_1 and D_1 of c
+    are still the first U and D of p, and dropping them turns U_i and D_k
+    into U_{i-1} and D_{k-1}: pi(p) = delta(i-1, k-1)(pi(c)).  Otherwise
+    (i, k) is (1, 1) or (2, 1).  As c begins UU or UDU, dropping D_1 with
+    U_1 or with U_2 gives the same word, so p = pi(c) and
+    pi(p) = delta(1, 1)(pi(c)).
+
+    *Frontier.*  Let U_s be level s, s >= s(q).  A word whose parent is in
+    U_s contains q, so it is in U_{s+1}; the frontier F_{s+1} holds the
+    other words of U_{s+1}, those whose parent avoids q.  Such a word c
+    has a lower cover p in U_s, and p is in F_s: either s = s(q) and
+    p = q (so F_{s(q)} = {q}), or pi(p) lies below pi(c), which avoids q,
+    so pi(p) avoids q too.  Hence, as disjoint unions,
+
+        U_{s+1} = pi^-1(U_s) + F_{s+1},
+        F_{s+1} = {c in UC(F_s) : pi(c) not in U_s}.
+
+    Each word of pi^-1(U_s) is built exactly once and tested against
+    nothing; only F_s goes through the insertion kernel, each child with
+    one lookup of its parent.  The frontier is small where the up-set
+    fills most of a level: for te_3 it holds 6,765 of the 667,875 words
+    at s = 13.  Both routes build only Dyck words, so none is checked
+    again.
     """
     levels: list[frozenset[str]] = [frozenset()] * (s_max + 1)
     if q.semilength <= s_max:
         levels[q.semilength] = frozenset({q.word})
+    frontier = {q.word}
     # No path of semilength >= 1 contains the empty path: UD has no lower
     # covers, although the single insertion into the empty word is UD.
     for s in range(q.semilength + 1, s_max + 1 if q.word else 0):
-        level: set[str] = set()
-        for word in levels[s - 1]:
-            _insertion_words(word, level)
-        levels[s] = frozenset(level)
+        below = levels[s - 1]
+        children: set[str] = set()
+        for word in frontier:
+            _insertion_words(word, children)
+        frontier = {c for c in children
+                    if c[1:].replace("D", "", 1) not in below}
+        levels[s] = frozenset(chain(
+            frontier,
+            ("U" + p[:t] + "D" + p[t:]
+             for p in below for t in range(p.find("D") + 1))))
     return levels
 
 

@@ -249,6 +249,92 @@ class TestUpSet:
                 assert all(type(level) is frozenset for level in levels)
                 assert levels == _up_set_by_covers(q, 8)
 
+    def test_every_pattern_of_semilength_5(self):
+        patterns = list(enumerate_paths(5))
+        assert len(patterns) == 42
+        for q in patterns:
+            assert up_set(q, 8) == _up_set_by_covers(q, 8)
+
+    def test_seeded_patterns_against_containment(self):
+        """Level 10 against the containment fixpoint, host by host, for
+        random patterns past the exhaustive range of the sweep tests."""
+        rng = random.Random(2023)
+        hosts = list(enumerate_paths(10))
+        for _ in range(3):
+            q = DyckPath(uniform_word(rng, rng.randint(4, 6)))
+            expected = {p.word for p in hosts if contains_pattern(p, q)}
+            assert up_set(q, 10)[10] == expected
+
+
+def _parent(word):
+    """The canonical parent: the word without its first U and first D."""
+    return word[1:].replace("D", "", 1)
+
+
+def _preimages(word):
+    """The words whose canonical parent is ``word``."""
+    return ["U" + word[:t] + "D" + word[t:]
+            for t in range(word.find("D") + 1)]
+
+
+class TestCanonicalParent:
+    """The facts behind up_set's sweep by canonical parent."""
+
+    def test_parent_is_the_first_bounce_deletion(self):
+        for s in range(2, 9):
+            for c in enumerate_paths(s):
+                assert _parent(c.word) == bounce_delete(c, Deletion(1, 1)).word
+
+    def test_parent_commutes_with_deletion(self):
+        pairs = 0
+        for s in range(3, 9):
+            for c in enumerate_paths(s):
+                below = poset._lower_cover_words(_parent(c.word))
+                for p in lower_covers(c):
+                    assert _parent(p.word) in below
+                    pairs += 1
+        assert pairs == 11_408
+
+    def test_preimages_partition_the_next_level(self):
+        for s in range(1, 9):
+            images = []
+            for p in enumerate_paths(s):
+                mine = _preimages(p.word)
+                assert all(_parent(w) == p.word for w in mine)
+                images += mine
+            assert len(images) == len(set(images)) == catalan(s + 1)
+            assert all(DyckPath(w).semilength == s + 1 for w in images)
+
+    def test_levels_are_preimages_plus_frontier(self, monkeypatch):
+        """|U_{s+1}| = sum over U_s of (p.find("D") + 1) + |F_{s+1}|, with
+        the frontier F swept here by upper covers alone, and the insertion
+        kernel runs once on each frontier word below the top and on no
+        other word."""
+        kernel, swept = poset._insertion_words, []
+
+        def counted(word, out):
+            swept.append(word)
+            return kernel(word, out)
+
+        for tag in FAMILY_TAGS:
+            for k in (2, 3, 4):
+                q = pattern(tag, k)
+                levels = up_set(q, 9)
+                frontier, below_top = {q.word}, []
+                for s in range(q.semilength, 9):
+                    below_top += frontier
+                    frontier = {c.word for word in frontier
+                                for c in upper_covers(DyckPath(word))
+                                if _parent(c.word) not in levels[s]}
+                    assert frontier <= levels[s + 1]
+                    assert len(levels[s + 1]) == len(frontier) + sum(
+                        p.find("D") + 1 for p in levels[s])
+                swept.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(poset, "_insertion_words", counted)
+                    assert up_set(q, 9) == levels
+                assert sorted(swept) == sorted(below_top)
+
 
 class TestKernelAtScale:
     @pytest.mark.parametrize("seed", [11, 22, 33, 44, 55, 66])
