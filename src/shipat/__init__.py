@@ -17,6 +17,7 @@ from .core import (
     NotIrreducible,
     Part,
     PrefixViolation,
+    ResourceLimit,
     RunForm,
     ShiTableau,
     StandardTableau2,
@@ -45,7 +46,6 @@ from .poset import (
     Deletion,
     HasseGraph,
     IndexOutOfRange,
-    ResourceLimit,
     avoids,
     bounce_delete,
     contains_pattern,
@@ -67,7 +67,6 @@ from .covers import (
     count_upper_covers,
 )
 from .avoidance import (
-    PatternFamily,
     UnsupportedFamily,
     WilfReport,
     avoider_rows,

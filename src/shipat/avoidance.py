@@ -38,6 +38,7 @@ import math
 from .core import (
     DyckPath,
     _Frozen,
+    _check_cap,
     area_vector,
     catalan,
     height,
@@ -46,11 +47,13 @@ from .core import (
     return_points,
     valleys,
 )
-from .poset import ResourceLimit, up_set
+from .poset import BRUTE_MAX_SEMILENGTH, up_set
 
 FAMILY_TAGS = ("te", "tg", "tor", "tv", "tf")
 
-BRUTE_MAX_TABLEAU_SIZE = 12
+# The largest tableau size of a brute avoider row, and of the pattern of a
+# brute family row: a tableau of size n is a path of semilength n + 1.
+BRUTE_MAX_TABLEAU_SIZE = BRUTE_MAX_SEMILENGTH - 1
 
 # The largest tableau size of a closed avoider count.  A count of size n is
 # at most C(n + 1), so every row stays at most C(2001), about 1,200 digits,
@@ -71,32 +74,18 @@ def _check_family(tag: str, k: int) -> None:
         raise ValueError("family size k must be >= 2")
 
 
-class PatternFamily(_Frozen):
-    """One of the five pattern families, at size k >= 2."""
-
-    __slots__ = ("tag", "k")
-    tag: str
-    k: int
-
-    def __init__(self, tag: str, k: int) -> None:
-        _check_family(tag, k)
-        self._fill(tag, k)
-
-    def path(self) -> DyckPath:
-        return pattern(self.tag, self.k)
-
-
 def pattern(tag: str, k: int) -> DyckPath:
     """The pattern of the given family and size, a path of semilength k + 1."""
     _check_family(tag, k)
-    words = {
-        "te": "U" * (k + 1) + "D" * (k + 1),
-        "tg": "U" * k + "DU" + "D" * k,
-        "tor": "U" * k + "D" * k + "UD",
-        "tv": "UD" + "U" * k + "D" * k,
-        "tf": "UD" * (k + 1),
-    }
-    return DyckPath(words[tag])
+    if tag == "te":
+        return DyckPath("U" * (k + 1) + "D" * (k + 1))
+    if tag == "tg":
+        return DyckPath("U" * k + "DU" + "D" * k)
+    if tag == "tor":
+        return DyckPath("U" * k + "D" * k + "UD")
+    if tag == "tv":
+        return DyckPath("UD" + "U" * k + "D" * k)
+    return DyckPath("UD" * (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +361,11 @@ def brute_avoider_counts(q: DyckPath, n_max: int) -> list[int]:
     insertion kernel only on the frontier of paths whose parent avoids q,
     so a row costs about the size of the up-set: te_3 to size 12 takes
     about a second on 2 vCPUs.  Sizes above :data:`BRUTE_MAX_TABLEAU_SIZE`
-    raise :class:`~shipat.poset.ResourceLimit`.
+    raise :class:`~shipat.core.ResourceLimit`.
     """
     if n_max < 0:
         raise ValueError("tableau size must be >= 0")
-    if n_max > BRUTE_MAX_TABLEAU_SIZE:
-        raise ResourceLimit("brute avoider counting capped at size "
-                            f"{BRUTE_MAX_TABLEAU_SIZE}")
+    _check_brute_size(n_max)
     levels = up_set(q, n_max + 1)
     return [catalan(n + 1) - len(levels[n + 1]) for n in range(n_max + 1)]
 
@@ -388,13 +375,17 @@ def count_avoiders_brute(q: DyckPath, n: int) -> int:
     return brute_avoider_counts(q, n)[-1]
 
 
+def _check_brute_size(n: int) -> None:
+    """Refuse a row or a family pattern of tableau size above
+    :data:`BRUTE_MAX_TABLEAU_SIZE`, before it is built."""
+    _check_cap("brute avoider counting", "size", n, BRUTE_MAX_TABLEAU_SIZE)
+
+
 def _check_closed_size(n: int) -> None:
     """Reject a negative size, then one above :data:`CLOSED_MAX_TABLEAU_SIZE`."""
     if n < 0:
         raise ValueError("tableau size must be >= 0")
-    if n > CLOSED_MAX_TABLEAU_SIZE:
-        raise ResourceLimit("closed avoider counting capped at size "
-                            f"{CLOSED_MAX_TABLEAU_SIZE}")
+    _check_cap("closed avoider counting", "size", n, CLOSED_MAX_TABLEAU_SIZE)
 
 
 def _bounded_height_family(tag: str, k: int) -> bool:
@@ -452,7 +443,7 @@ def avoider_rows(tag: str, k: int, n_max: int) -> list[int]:
     of the walk of width k.  At size two tg sits in the tv/tor Wilf class
     instead, with C(n+1, 2) + 1 avoiders, which is what the tv walk gives
     there.  The family, the size and :data:`CLOSED_MAX_TABLEAU_SIZE`
-    (:class:`~shipat.poset.ResourceLimit`) are checked before any work.
+    (:class:`~shipat.core.ResourceLimit`) are checked before any work.
     """
     _check_family(tag, k)
     _check_closed_size(n_max)
@@ -506,7 +497,12 @@ class WilfReport(_Frozen):
 
 
 def wilf_check(tag_a: str, tag_b: str, k: int, n_max: int) -> WilfReport:
-    """Tabulate brute counts of two families for n = 0..n_max."""
+    """Tabulate brute counts of two families for n = 0..n_max.
+
+    A family size k above :data:`BRUTE_MAX_TABLEAU_SIZE` raises
+    :class:`~shipat.core.ResourceLimit` before either pattern is built.
+    """
+    _check_brute_size(k)
     qa, qb = pattern(tag_a, k), pattern(tag_b, k)
     counts_a = tuple(brute_avoider_counts(qa, n_max))
     counts_b = tuple(brute_avoider_counts(qb, n_max))

@@ -16,9 +16,12 @@ returns them, never exits: 2 when argparse rejects the command line (the
 usage is already on stderr), 3, with nothing on stderr, when the two methods
 of ``both`` mode disagree (``DISAGREE`` is already on stdout), and otherwise,
 after ``error: <message>`` on stderr, 1 for
-:class:`~shipat.poset.ResourceLimit` or a failed ``verify`` check and 2 for
+:class:`~shipat.core.ResourceLimit` or a failed ``verify`` check and 2 for
 ``ValueError``, the type of every parse, family, size and flag error.  Every
-cap is a library constant that raises ``ResourceLimit`` before any work.
+cap is a library constant that raises ``ResourceLimit``, defined in
+:mod:`shipat.core`, before any work; ``count-avoiders --method brute`` and
+``both`` check the family size ``--k`` against the brute cap before the
+pattern is built.
 
 ``count-avoiders --method closed`` takes every row from one call of
 :func:`~shipat.avoidance.avoider_rows`: the rows of every family come off
@@ -35,7 +38,7 @@ import argparse
 import sys
 
 from . import avoidance, covers, poset
-from .core import ShiTableau, parse_path, region_inequalities
+from .core import ResourceLimit, ShiTableau, parse_path, region_inequalities
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,6 +130,7 @@ def _cmd_count_avoiders(args) -> None:
     if args.format == "oeis" and args.method == "both":
         raise ValueError("oeis format needs a single method")
     if args.method in ("brute", "both"):
+        avoidance._check_brute_size(args.k)
         brute = avoidance.brute_avoider_counts(
             avoidance.pattern(args.family, args.k), args.n_max)
     if args.method in ("closed", "both"):
@@ -196,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except _Disagreement:
         return 3
-    except (poset.ResourceLimit, _CheckFailed, ValueError) as exc:
+    except (ResourceLimit, _CheckFailed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
     return 0

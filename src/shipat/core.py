@@ -55,6 +55,18 @@ class PrefixViolation(ValueError):
         super().__init__(f"prefix ending at index {index} has more D than U steps")
 
 
+class ResourceLimit(RuntimeError):
+    """A request exceeds one of the package's fixed size caps."""
+
+
+def _check_cap(work: str, unit: str, size: int, cap: int) -> None:
+    """The one size guard: refuse a ``size`` above ``cap`` with the message
+    ``<work> capped at <unit> <cap>``.  Every cap but the node budget of
+    :func:`~shipat.poset.hasse` is checked here, before any work."""
+    if size > cap:
+        raise ResourceLimit(f"{work} capped at {unit} {cap}")
+
+
 def _validate_word(word: str) -> None:
     ups = 0
     downs = 0

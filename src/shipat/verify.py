@@ -23,6 +23,7 @@ from .core import (
     _RUNS,
     DyckPath,
     ShiTableau,
+    _check_cap,
     area_vector,
     bounce_path,
     catalan,
@@ -441,15 +442,13 @@ def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
 
     ``jobs`` > 1 runs the checks in a pool of that many worker processes.
     An ``n_max`` above :data:`VERIFY_MAX_SEMILENGTH` raises
-    :class:`~shipat.poset.ResourceLimit` before any check runs.
+    :class:`~shipat.core.ResourceLimit` before any check runs.
     """
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    if n_max > VERIFY_MAX_SEMILENGTH:
-        raise poset.ResourceLimit("verify capped at semilength "
-                                  f"{VERIFY_MAX_SEMILENGTH}")
+    _check_cap("verify", "semilength", n_max, VERIFY_MAX_SEMILENGTH)
     work = [(name, check, n_max) for name in names for check in SUITES[name]]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

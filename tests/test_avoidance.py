@@ -35,7 +35,6 @@ from shipat import (
 )
 from shipat.avoidance import (
     FAMILY_TAGS,
-    PatternFamily,
     avoids_tor2_shape,
     avoids_tv2_shape,
     sequence_csv,
@@ -69,11 +68,6 @@ class TestPatterns:
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamily):
             pattern("tx", 2)
-        with pytest.raises(UnsupportedFamily):
-            PatternFamily("tx", 2)
-
-    def test_family_object(self):
-        assert PatternFamily("te", 3).path().word == "UUUUDDDD"
 
     def test_family_errors_agree(self):
         # every family entry point checks the tag first, then the size
@@ -82,8 +76,7 @@ class TestPatterns:
                               ("te", 1, ValueError)]:
             for call in (lambda: pattern(tag, k),
                          lambda: avoids_characterized(EMPTY_PATH, tag, k),
-                         lambda: count_avoiders_closed(tag, k, 3),
-                         lambda: PatternFamily(tag, k)):
+                         lambda: count_avoiders_closed(tag, k, 3)):
                 with pytest.raises(ValueError) as info:
                     call()
                 assert info.type is error
@@ -607,6 +600,15 @@ class TestWilf:
         assert not report.equal
         assert report.first_divergence == 3
         assert report.counts_a[3] == 8 and report.counts_b[3] == 7
+
+    def test_pattern_above_the_brute_cap_is_never_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(avoidance, "pattern",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ResourceLimit, match="^brute avoider counting "
+                           "capped at size 12$"):
+            wilf_check("te", "tf", 10 ** 9, 3)
+        assert calls == []
 
 
 class TestSequenceFormats:

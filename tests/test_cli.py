@@ -99,6 +99,29 @@ class TestCountAvoiders:
             assert err == "error: brute avoider counting capped at size 12\n"
         assert calls == []
 
+    def test_brute_pattern_cap_fails_before_the_pattern(self, capsys,
+                                                        monkeypatch):
+        # a family pattern of size k is a word of 2(k + 1) steps
+        calls = []
+        monkeypatch.setattr(avoidance, "pattern",
+                            lambda *args: calls.append(args))
+        for method in ("brute", "both"):
+            code, out, err = run_cli(capsys, "count-avoiders", "--family",
+                                     "te", "--k", "1000000000", "--n-max",
+                                     "3", "--method", method)
+            assert (code, out, calls) == (1, "", [])
+            assert err == "error: brute avoider counting capped at size 12\n"
+        code, out, _ = run_cli(capsys, "count-avoiders", "--family", "te",
+                               "--k", "1000000000", "--n-max", "3")
+        assert (code, out) == (0, "n,count\n0,1\n1,2\n2,5\n3,14\n")
+
+    def test_brute_pattern_at_the_cap_gives_catalan_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "count-avoiders", "--family", "tg",
+                               "--k", "12", "--n-max", "3", "--method", "both")
+        assert code == 0
+        assert out == ("n,count,count_brute,agree\n0,1,1,AGREE\n"
+                       "1,2,2,AGREE\n2,5,5,AGREE\n3,14,14,AGREE\n")
+
     def test_both_cap_fails_before_closed_rows(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(avoidance, "avoider_rows",

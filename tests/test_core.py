@@ -339,3 +339,14 @@ class TestEnumeration:
     def test_mirror_is_involution(self):
         for p in enumerate_paths(4):
             assert mirror(mirror(p)) == p
+
+
+def test_resource_limit_lives_in_core():
+    import shipat
+    from shipat import core, poset
+
+    assert shipat.ResourceLimit is poset.ResourceLimit is core.ResourceLimit
+    assert core.ResourceLimit.__module__ == "shipat.core"
+    core._check_cap("listing", "size", 5, 5)
+    with pytest.raises(core.ResourceLimit, match="^listing capped at size 5$"):
+        core._check_cap("listing", "size", 6, 5)

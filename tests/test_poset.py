@@ -605,6 +605,38 @@ class TestContainmentFixpoint:
         assert time.monotonic() - start < 2
 
 
+CAP = poset.BRUTE_MAX_SEMILENGTH
+PYRAMID_AT_CAP = DyckPath("U" * CAP + "D" * CAP)
+PYRAMID_ABOVE_CAP = DyckPath("U" * (CAP + 1) + "D" * (CAP + 1))
+
+
+class TestBruteCap:
+    """The brute routes share one size cap, checked before any work."""
+
+    @pytest.mark.parametrize("work, route, message", [
+        ("_insertion_words", lambda: up_set(parse_path("UUDD"), CAP + 1),
+         "up-set sweep capped at semilength 13"),
+        ("_insertions", lambda: upper_covers_by_search(PYRAMID_ABOVE_CAP),
+         "cover search capped at semilength 13"),
+        ("_lower_cover_words",
+         lambda: contains_pattern_noprune(PYRAMID_ABOVE_CAP, parse_path("UD")),
+         "containment search capped at semilength 13"),
+    ], ids=["up_set", "upper_covers_by_search", "contains_pattern_noprune"])
+    def test_refused_before_any_work(self, monkeypatch, work, route, message):
+        calls = []
+        monkeypatch.setattr(poset, work, lambda *args: calls.append(args))
+        with pytest.raises(ResourceLimit, match=f"^{message}$"):
+            route()
+        assert calls == []
+
+    def test_the_cap_itself_is_accepted(self):
+        levels = up_set(PYRAMID_AT_CAP, CAP)
+        assert levels[CAP] == {PYRAMID_AT_CAP.word} and not any(levels[:CAP])
+        assert len(upper_covers_by_search(PYRAMID_AT_CAP)) == \
+            count_upper_covers(PYRAMID_AT_CAP)
+        assert contains_pattern_noprune(PYRAMID_AT_CAP, PYRAMID_AT_CAP)
+
+
 class TestHasse:
     def test_sizes(self):
         g1 = hasse(1)

@@ -12,7 +12,6 @@ from shipat import (
     DyckPath,
     HasseGraph,
     Part,
-    PatternFamily,
     RunForm,
     ShiTableau,
     StandardTableau2,
@@ -51,8 +50,6 @@ ROWS = [
      "DyckPath(word='UUDD'))), edges=((DyckPath(word='UDUD'), "
      "DyckPath(word='UD')), (DyckPath(word='UUDD'), DyckPath(word='UD'))))",
      {"levels": ((UD,),), "edges": ()}, None),
-    (PatternFamily, {"tag": "te", "k": 2}, "PatternFamily(tag='te', k=2)",
-     {"tag": "tv", "k": 2}, {"tag": "te", "k": 1}),
     (WilfReport, {"tag_a": "te", "tag_b": "tg", "k": 2,
                   "counts_a": (1, 1, 2), "counts_b": (1, 1, 2)},
      "WilfReport(tag_a='te', tag_b='tg', k=2, counts_a=(1, 1, 2), "

@@ -1,6 +1,15 @@
 import pytest
 
-from shipat import DyckPath, verify
+from shipat import (
+    EMPTY_PATH,
+    IRREDUCIBLE,
+    Decomposition,
+    DyckPath,
+    avoidance,
+    covers,
+    poset,
+    verify,
+)
 from shipat.cli import main
 from shipat.poset import Deletion
 
@@ -56,3 +65,122 @@ def test_an_unclassified_collision_fails_the_check(monkeypatch):
     assert verify._run_one(("covers", "double-cover", 4)).line() == (
         "FAIL covers.double-cover: UDUD: Deletion(i=1, k=1) vs "
         "Deletion(i=2, k=1)")
+
+
+def _nth_wrong(real, n, wrong):
+    """``real``, except that its n-th answer is replaced by ``wrong(answer)``."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        answer = real(*args)
+        return wrong(answer) if len(calls) == n else answer
+    return patched
+
+
+def _not(answer):
+    return not answer
+
+
+def _plus_one(answer):
+    return answer + 1
+
+
+# For every registered check, one wrong answer per counterexample it can
+# report: (module, name of the subject, the call to get wrong, how it goes
+# wrong, the start of the FAIL detail).
+WRONG_ANSWERS = {
+    ("core", "roundtrips"): [
+        (verify, "tableau_to_path", 1, lambda p: DyckPath("UUDD"),
+         "tableau roundtrip broke"),
+        (verify, "syt_to_path", 1, lambda p: DyckPath("UUDD"),
+         "syt roundtrip broke"),
+    ],
+    ("core", "area-characterization"): [
+        (verify, "catalan", 1, _plus_one, "1 legal vectors at length 1"),
+        (verify, "area_vector", 1, lambda a: (9,), "legal vectors differ"),
+        (verify, "tableau_to_path", 1, lambda p: EMPTY_PATH, "rebuild failed"),
+    ],
+    ("core", "peaks-valleys-returns"): [
+        (verify, "peaks", 1, lambda found: found * 2, "UD"),
+    ],
+    ("core", "bounce"): [
+        (verify, "_bounce_by_walk", 1, lambda w: "", "UD is not the bounce"),
+        (verify, "area_vector", 1, lambda a: (1,), "UD not below UD"),
+        (verify, "bounce_path", 2, lambda b: DyckPath("UUDD"),
+         "not idempotent"),
+        (verify, "return_points", 1, lambda points: points * 2,
+         "return points differ"),
+    ],
+    ("core", "decompositions"): [
+        (verify, "irreducible_decomposition", 1,
+         lambda d: Decomposition(IRREDUCIBLE, ()), "reassembly broke"),
+        # calls 1 and 2 ask about UD and UDUD, call 3 about the part UUDD
+        (verify, "is_irreducible", 3, _not, "UUDD misclassified"),
+        (verify, "strongly_irreducible_decomposition", 1,
+         lambda d: Decomposition(IRREDUCIBLE, ()), "strong reassembly broke"),
+    ],
+    ("covers", "closed-vs-brute"): [
+        (covers, "count_lower_covers", 1, _plus_one, "22 paths, 1 mismatches"),
+    ],
+    ("covers", "inverse-consistency"): [
+        (poset, "upper_covers_by_search", 1, lambda ups: frozenset(),
+         "insertion vs search differ"),
+    ],
+    ("covers", "lower-cover-exists"): [
+        (poset, "lower_covers", 1, lambda downs: frozenset(), "UDUD"),
+    ],
+    ("covers", "column-formula-dual"): [
+        (covers, "_up_irred", 1, _plus_one, "UUUDUDDD"),
+    ],
+    ("covers", "double-cover"): [
+        (verify, "classify_double_cover", 1, lambda kind: "unclassified",
+         "UDUD: Deletion"),
+    ],
+    ("covers", "containment-order"): [
+        (poset, "contains_pattern", 1, _not, "not reflexive"),
+        (poset, "contains_pattern_noprune", 1, _not,
+         "fixpoint and word search disagree"),
+    ],
+    ("avoidance", "characterizations"): [
+        (avoidance, "avoids_characterized", 1, _not, "te_2 differs at UD"),
+    ],
+    ("avoidance", "zeta"): [
+        (avoidance, "zeta", 1, lambda z: EMPTY_PATH, "size broke"),
+        # zeta(UUDD) is UDUD, so a second UDUD leaves one image at size 2
+        (avoidance, "zeta", 2, lambda z: DyckPath("UDUD"),
+         "not bijective at 2"),
+        (verify, "return_points", 1, lambda points: points * 2,
+         "height/bounce equivalence broke"),
+    ],
+    ("avoidance", "peak-flattening"): [
+        (avoidance, "flatten_high_peaks", 1,
+         lambda q: DyckPath("U" * 5 + "D" * 5), "UD -> UUUUUDDDDD"),
+        (avoidance, "flatten_high_peaks", 1, lambda q: EMPTY_PATH,
+         "not onto for k=3, s=1"),
+    ],
+    ("avoidance", "mirror-symmetry"): [
+        (avoidance, "avoids_characterized", 1, _not, "UD"),
+        (avoidance, "brute_avoider_counts", 1,
+         lambda rows: [rows[0] + 1, *rows[1:]], "counts differ at k=2, n=0"),
+    ],
+    ("avoidance", "f-count"): [
+        (avoidance, "f_count", 1, _plus_one, "mismatch at (0, 0, 0)"),
+    ],
+    ("avoidance", "closed-vs-brute"): [
+        (avoidance, "avoider_rows", 1, lambda rows: [rows[0] + 1, *rows[1:]],
+         "te_2 at n=0: closed=2 brute=1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite, name", [
+    (suite, name) for suite in verify.SUITES for name in verify.SUITES[suite]])
+def test_every_check_reports_a_wrong_answer(monkeypatch, suite, name):
+    for module, subject, n, wrong, detail in WRONG_ANSWERS[suite, name]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, subject,
+                          _nth_wrong(getattr(module, subject), n, wrong))
+            result = verify._run_one((suite, name, 4))
+        assert not result.ok, (subject, n)
+        assert result.detail.startswith(detail), (subject, result.detail)
