@@ -1,13 +1,13 @@
 """Closed-form cover counting, cross-validated against brute enumeration.
 
-Both counts read the word alone.  String comparison picks out the special
-shapes (empty, minimum, zigzag, pyramid, peak-run and symmetric), whose
-counts follow from the shape.  Any other word takes one pass of prefix
-heights, which cuts it into its ground factors and, inside each factor f
-of semilength >= 2, into the parts U g D for the interior factors g of f
-(the factors of f[1:-1] at height one).  A part is a pyramid, a symmetric
-word or strongly irreducible, and takes a leaf rule; nothing is
-dispatched again and nothing recurses.
+Both counts read the word alone.  One table tests each special shape
+(empty, minimum, zigzag, pyramid, peak-run, symmetric) by string
+comparison and gives its branch name and both counts beside the test.
+Any other word takes one pass of prefix heights, which cuts it into its
+ground factors and, inside each factor f of semilength >= 2, into the
+parts U g D for the interior factors g of f (the factors of f[1:-1] at
+height one).  Each part, a pyramid, a symmetric word or strongly
+irreducible, takes a leaf rule: nothing is dispatched again or recurses.
 
 Lower covers: a part counts peaks + valleys, one less if it is symmetric.
 Each factor adds its number of parts, a run of adjacent UUDD parts
@@ -33,13 +33,15 @@ from __future__ import annotations
 from .core import (
     DyckPath,
     _Record,
+    _check_cap,
     _steps_before,
     _word_cuts,
     _word_heights,
     enumerate_paths,
     is_irreducible,
 )
-from .poset import IndexOutOfRange, lower_covers, upper_covers
+from .poset import (BRUTE_MAX_SEMILENGTH, IndexOutOfRange, lower_covers,
+                    upper_covers)
 
 # Dispatch branch names, in matching precedence order.
 BRANCH_EMPTY = "empty"
@@ -59,19 +61,25 @@ ALL_BRANCHES = (
 )
 
 
-def _special_branch(w: str) -> str | None:
-    """The special shape of a Dyck word, by string comparison, or None."""
+def _special(w: str) -> tuple[str, int | None, int] | None:
+    """Branch name, lower and upper count of a special word, else None."""
     s = len(w) // 2
-    if s < 2:
-        return BRANCH_MINIMUM if s else BRANCH_EMPTY
+    if s < 2:  # the empty word has no lower count: count_lower_covers refuses
+        return (BRANCH_MINIMUM, 0, 2) if s else (BRANCH_EMPTY, None, 1)
     if w == "UD" * s:
-        return BRANCH_ZIGZAG
+        return BRANCH_ZIGZAG, 1, 2 * s
     if w == "U" * s + "D" * s:
-        return BRANCH_PYRAMID
+        return BRANCH_PYRAMID, 1, 2 * s
     if w == "U" + "UD" * (s - 1) + "D":
-        return BRANCH_PEAK_RUN
+        # U(UD)^m D: m lower covers, 4s - 5 upper (s >= 3: UUDD is a pyramid)
+        return BRANCH_PEAK_RUN, s - 1, 4 * s - 5
     if _is_symmetric(w):
-        return BRANCH_SYMMETRIC
+        # U^a (DU)^r D^a: peaks + valleys - 1 = (r + 1) + r - 1 lower covers,
+        # and upper the column formula less one, its colU telescoping to
+        # 2r - 2a + 3 for r >= a, to 1 for r = a - 1 and to 0 below
+        a = w.find("D")
+        r = s - a
+        return BRANCH_SYMMETRIC, 2 * r, 4 * r + 3 if r >= a - 1 else 2 * s
     return None
 
 
@@ -84,9 +92,8 @@ def _is_symmetric(w: str) -> bool:
 def classify_branch(p: DyckPath) -> str:
     """Total classification of a path into exactly one dispatch branch."""
     w = p.word
-    special = _special_branch(w)
-    if special is not None:
-        return special
+    if (special := _special(w)) is not None:
+        return special[0]
     heights = _word_heights(w)
     # irreducible: h > 0 before the end; strongly: h > 1 inside the end steps
     if heights.index(0) < len(w) - 1:
@@ -158,17 +165,8 @@ def count_lower_covers(p: DyckPath) -> int:
     w = p.word
     if not w:
         raise ValueError("lower covers need semilength >= 1")
-    branch = _special_branch(w)
-    if branch == BRANCH_MINIMUM:
-        return 0
-    if branch in (BRANCH_ZIGZAG, BRANCH_PYRAMID):
-        return 1
-    if branch == BRANCH_PEAK_RUN:
-        # U(UD)^m D has m lower covers.
-        return len(w) // 2 - 1
-    if branch == BRANCH_SYMMETRIC:
-        # peaks + valleys - 1 of U^a (DU)^r D^a: (r + 1) + r - 1
-        return len(w) - 2 * w.find("D")
+    if (special := _special(w)) is not None:
+        return special[1]
     total = w.startswith("UD") + w.endswith("UD") - 1
     for _, parts in _factor_parts(w):
         # a run of adjacent UUDD parts counts as one part
@@ -187,19 +185,8 @@ def count_lower_covers(p: DyckPath) -> int:
 def count_upper_covers(p: DyckPath) -> int:
     """Closed count of |upper_covers(p)|."""
     w = p.word
-    branch = _special_branch(w)
-    if branch == BRANCH_EMPTY:
-        return 1
-    if branch in (BRANCH_MINIMUM, BRANCH_ZIGZAG, BRANCH_PYRAMID):
-        return len(w)  # 2s
-    if branch == BRANCH_PEAK_RUN:
-        return 2 * len(w) - 5  # 4s - 5, s >= 3: UUDD is a pyramid
-    if branch == BRANCH_SYMMETRIC:
-        # the column formula minus one on U^a (DU)^r D^a; colU telescopes
-        # to 2r - 2a + 3 for r >= a, to 1 for r = a - 1 and to 0 below
-        a = w.find("D")
-        r = len(w) // 2 - a
-        return 4 * r + 3 if r >= a - 1 else len(w)
+    if (special := _special(w)) is not None:
+        return special[2]
     factors = _factor_parts(w)
     total = 0
     for factor, parts in factors:
@@ -278,8 +265,11 @@ def audit_cover_counts(max_semilength: int = 8) -> AuditReport:
 
     Every path of semilength 1..max_semilength is classified, counted by the
     closed dispatch and by enumeration, and any disagreement is recorded
-    together with its branch.
+    together with its branch.  A ``max_semilength`` above the brute cap
+    :data:`~shipat.poset.BRUTE_MAX_SEMILENGTH` raises first.
     """
+    _check_cap("cover audit", "semilength", max_semilength,
+               BRUTE_MAX_SEMILENGTH)
     report = AuditReport(max_semilength)
     for s in range(1, max_semilength + 1):
         for p in enumerate_paths(s):

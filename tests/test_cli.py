@@ -303,6 +303,8 @@ MISUSE = [
     ("closed-cap", ["count-avoiders", "--family", "tv", "--k", "5",
                     "--n-max", "2001"], 1,
      "error: closed avoider counting capped at size 2000\n"),
+    ("region-cap", ["region", "--area", ",".join(["0"] * 1002)], 1,
+     "error: region emission capped at size 1000\n"),
 ]
 
 

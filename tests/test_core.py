@@ -10,6 +10,7 @@ from shipat import (
     NotBalanced,
     NotIrreducible,
     PrefixViolation,
+    ResourceLimit,
     RunForm,
     ShiTableau,
     StandardTableau2,
@@ -274,6 +275,17 @@ class TestRegions:
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
             region_inequalities(ShiTableau((0,)))
+
+    def test_size_above_the_cap_refused_before_any_line(self, monkeypatch):
+        from shipat.core import REGION_MAX_SIZE
+
+        calls = []
+        monkeypatch.setattr(ShiTableau, "is_full",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ResourceLimit,
+                           match="^region emission capped at size 1000$"):
+            region_inequalities(ShiTableau((0,) * (REGION_MAX_SIZE + 2)))
+        assert calls == []
 
 
 class TestEnumeration:

@@ -7,6 +7,7 @@ from shipat import (
     Decomposition,
     DyckPath,
     Part,
+    ResourceLimit,
     RunForm,
     audit_cover_counts,
     classify_branch,
@@ -176,6 +177,17 @@ class TestAudit:
         assert not report.ok
         assert report.mismatches == [("UUDUDD", "peak-run", "lower", 3, 2)]
 
+    def test_refused_above_the_brute_cap_before_any_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(covers, "enumerate_paths",
+                            lambda s: calls.append(s) or ())
+        with pytest.raises(ResourceLimit,
+                           match="^cover audit capped at semilength 13$"):
+            audit_cover_counts(14)
+        assert calls == []
+        assert audit_cover_counts(13).paths_checked == 0
+        assert calls == list(range(1, 14))
+
 
 class TestWordLevelCounts:
     """The closed counts read the word alone; the brute cover sets of the
@@ -280,7 +292,7 @@ class TestWordLevelCounts:
         paths = [DyckPath(word) for word in words]
         shortcut = [(count_upper_covers(p), count_lower_covers(p))
                     for p in paths]
-        monkeypatch.setattr(covers, "_special_branch", lambda word: None)
+        monkeypatch.setattr(covers, "_special", lambda word: None)
         assert [(count_upper_covers(p), count_lower_covers(p))
                 for p in paths] == shortcut
 
