@@ -55,6 +55,7 @@ from .poset import (
     hasse,
     lower_covers,
     up_set,
+    up_set_sizes,
     upper_covers,
     upper_covers_by_search,
 )

@@ -14,10 +14,13 @@ closed counts are cross-checked against brute force in the test suite:
 the characterizations against the downward containment search and the
 up-set of each pattern (:func:`~shipat.poset.up_set`), the closed counts
 against :func:`count_avoiders_brute`, which reads |Av_n(q)| = C(n+1) -
-|Up_{n+1}(q)| off that up-set.  The sweep builds each word of the up-set
-once from its canonical parent and pushes insertions only from the
-frontier of words whose parent avoids the pattern; it is itself checked
-against the containment search host by host.
+|Up_{n+1}(q)| off the sizes of that up-set
+(:func:`~shipat.poset.up_set_sizes`).  The sweep pushes insertions only
+from the frontier of words whose canonical parent avoids the pattern, and
+the sizes keep nothing else: each level is counted from the one below by
+its leading U runs, and a word's membership is a walk down its parents
+through the frontiers.  The sweep is itself checked against the
+containment search host by host.
 
 All counting here is exact integer arithmetic.  Bounded-height counts are
 strip counts.  A single strip count is a difference of two folded binomial
@@ -47,7 +50,7 @@ from .core import (
     return_points,
     valleys,
 )
-from .poset import BRUTE_MAX_SEMILENGTH, up_set
+from .poset import BRUTE_MAX_SEMILENGTH, up_set_sizes
 
 FAMILY_TAGS = ("te", "tg", "tor", "tv", "tf")
 
@@ -354,20 +357,21 @@ def zeta(p: DyckPath) -> DyckPath:
 def brute_avoider_counts(q: DyckPath, n_max: int) -> list[int]:
     """[|Av_0(q)|, ..., |Av_{n_max}(q)|] by one sweep of the up-set of q.
 
-    The level of semilength n + 1 of :func:`~shipat.poset.up_set` holds
-    exactly the paths of that semilength that contain q; the avoiders of
-    size n are the rest of the C(n + 1) paths.  The sweep builds each of
-    those containing paths once, from its canonical parent, and runs the
-    insertion kernel only on the frontier of paths whose parent avoids q,
-    so a row costs about the size of the up-set: te_3 to size 12 takes
-    about a second on 2 vCPUs.  Sizes above :data:`BRUTE_MAX_TABLEAU_SIZE`
-    raise :class:`~shipat.core.ResourceLimit`.
+    The level of semilength n + 1 of the up-set holds exactly the paths of
+    that semilength that contain q; the avoiders of size n are the rest of
+    the C(n + 1) paths.  :func:`~shipat.poset.up_set_sizes` counts each
+    level and builds only its frontier, the paths whose canonical parent
+    avoids q, so a row costs about the frontiers, not the up-set: on 2
+    vCPUs te_3 to size 12 takes 0.14-0.17 s, tv_2 34-65 ms and tg_2
+    13-25 ms, each at 16-21 MB peak RSS.  Sizes above
+    :data:`BRUTE_MAX_TABLEAU_SIZE` raise
+    :class:`~shipat.core.ResourceLimit`.
     """
     if n_max < 0:
         raise ValueError("tableau size must be >= 0")
     _check_brute_size(n_max)
-    levels = up_set(q, n_max + 1)
-    return [catalan(n + 1) - len(levels[n + 1]) for n in range(n_max + 1)]
+    sizes = up_set_sizes(q, n_max + 1)
+    return [catalan(n + 1) - sizes[n + 1] for n in range(n_max + 1)]
 
 
 def count_avoiders_brute(q: DyckPath, n: int) -> int:

@@ -15,24 +15,31 @@ built once per U class and D run: the new U goes once into each run of U
 steps that starts the word or follows a D, and the new D goes once at the
 start of its legal range, where it becomes D_{i-1} or D_i of the new U_i
 and the word stays a Dyck word, and once after each U step in that range,
-since a D placed anywhere in a run of D steps gives the same word.  Child
-words are Dyck by construction and go straight into a set the caller
-passes: :func:`upper_covers` passes a fresh one and turns its words into
-paths unchecked, so a cover set costs O(s) per candidate child instead of
+since a D placed anywhere in a run of D steps gives the same word.  It
+skips the children U w[:t] D w[t:] of the first class, whose canonical
+parent is the word w itself.  Child words are Dyck by construction and go
+straight into a set the caller passes: :func:`upper_covers` passes one
+that holds those skipped children and turns its words into paths
+unchecked, so a cover set costs O(s) per candidate child instead of
 a search over all O(s^2) insertion pairs; :func:`upper_covers_by_search`
 keeps that search, validating each candidate, as the independent oracle.
 
 Containment has two stateless routes: :func:`contains_pattern` solves
 monotone constraints on step indices for the least embedding and builds
 no cover; :func:`up_set` sweeps the up-set of a pattern level by level,
-for every host of a semilength at once.  It builds each word of a level
-once, from its canonical parent (the word without its first U and first
-D), and runs the insertion kernel only on the frontier: the words
-whose canonical parent avoids the pattern.
+for every host of a semilength at once.  One sweep, :func:`_frontiers`,
+runs the insertion kernel only on the frontier: the words whose
+canonical parent (the word without its first U and first D) avoids the
+pattern.  :func:`up_set` builds every other word of a level once, from
+its parent; :func:`up_set_sizes` builds none and counts each level from
+a histogram of leading U runs, so its memory is that of the frontiers:
+on 2 vCPUs the sizes for te_3 to semilength 13 take 0.14-0.17 s and
+20 MB peak RSS, where :func:`up_set` holds 667,875 words at the top.
 
-The brute routes, :func:`up_set`, :func:`upper_covers_by_search` and
-:func:`contains_pattern_noprune`, share one size cap,
-:data:`BRUTE_MAX_SEMILENGTH`, and cover listing has its own.  Each is
+The brute routes, :func:`up_set`, :func:`up_set_sizes`,
+:func:`upper_covers_by_search` and :func:`contains_pattern_noprune`, share
+one size cap, :data:`BRUTE_MAX_SEMILENGTH`, and cover listing has its
+own.  Each is
 checked before any work and raises :class:`~shipat.core.ResourceLimit`,
 which lives in :mod:`shipat.core` with the other typed errors and is
 importable from here too.
@@ -41,7 +48,7 @@ importable from here too.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     DyckPath,
@@ -96,11 +103,27 @@ def _drop_two(word: str, a: int, b: int) -> str:
     return word[:a] + word[a + 1:b] + word[b + 1:]
 
 
+def _preimages(words: Iterable[str]) -> Iterator[str]:
+    """The words whose canonical parent (see :func:`up_set`) is one of
+    ``words``: U p[:t] D p[t:] for t up to the U steps before the first D
+    of p, and UD for the empty word, which has no D."""
+    return ("U" + p[:t] + "D" + p[t:]
+            for p in words for t in range(p.find("D") + 1 or 1))
+
+
 def _insertion_words(word: str, out: set[str]) -> set[str]:
     """Add to ``out`` every word that deletes to ``word`` by one bounce
-    deletion, each built once per U class and D run of its parent, and
-    return ``out``; a caller that sweeps many parents passes the set it is
+    deletion, save perhaps the preimages of ``word`` (:func:`_preimages`),
+    each built once per U class and D run of its parent, and return
+    ``out``; a caller that sweeps many parents passes the set it is
     filling, so no per-parent set is built or merged.
+
+    The preimages are the children of the first class with the new D
+    before D_1 of the word, and those placements are skipped: the up-set
+    sweep would reject each of them, as its parent is in the up-set, and
+    :func:`upper_covers` adds them itself.  Another class may build one
+    all the same: UDUD is UD with UD put in front, which is skipped, or at
+    the end, which is not.
 
     A new U at ``u_spot`` becomes U_i.  The new D must become D_{i-1} or
     D_i, so it goes after D_{i-2} and at or before D_i of the word with the
@@ -136,7 +159,10 @@ def _insertion_words(word: str, out: set[str]) -> set[str]:
             lo = last_zero
         hi = downs[i1 - 1] + 1
         with_u = word[:a] + "U" + word[a:]
-        add(with_u[:lo + 1] + "D" + with_u[lo + 1:])
+        if a:
+            add(with_u[:lo + 1] + "D" + with_u[lo + 1:])
+        else:  # skip the preimages: the new D before D_1 of the word
+            lo = e
         for d_spot in range(lo + 2, hi + 1):
             if with_u[d_spot - 1] == "U":
                 add(with_u[:d_spot] + "D" + with_u[d_spot:])
@@ -255,7 +281,8 @@ def upper_covers(p: DyckPath) -> frozenset[DyckPath]:
     """
     _check_cap("cover listing", "semilength", p.semilength,
                COVERS_MAX_SEMILENGTH)
-    return frozenset(map(DyckPath._trusted, _insertion_words(p.word, set())))
+    words = _insertion_words(p.word, set(_preimages([p.word])))
+    return frozenset(map(DyckPath._trusted, words))
 
 
 def upper_covers_by_search(p: DyckPath) -> frozenset[DyckPath]:
@@ -368,8 +395,10 @@ def avoids(p: DyckPath, q: DyckPath) -> bool:
 # The largest semilength a brute route builds: the words of the up-set
 # sweep, the host of the downward containment search and the path of the
 # all-pairs cover search.  Brute avoider rows stop one below, at tableau
-# size 12.  On 2 vCPUs up_set(te_3, 13) peaks at 177 MB, and each level
-# more multiplies that by about 3.7.
+# size 12.  On 2 vCPUs up_set(te_3, 13), which keeps every level, peaks at
+# 177 MB, and each level more multiplies that by about 3.7; up_set_sizes,
+# which keeps only the frontiers, peaks at 16-21 MB for te_3, tv_2 or
+# tg_2 to 13.
 BRUTE_MAX_SEMILENGTH = 13
 
 
@@ -424,35 +453,94 @@ def up_set(q: DyckPath, s_max: int) -> list[frozenset[str]]:
         F_{s+1} = {c in UC(F_s) : pi(c) not in U_s}.
 
     Each word of pi^-1(U_s) is built exactly once and tested against
-    nothing; only F_s goes through the insertion kernel, each child with
-    one lookup of its parent.  The frontier is small where the up-set
-    fills most of a level: for te_3 it holds 6,765 of the 667,875 words
-    at s = 13.  Both routes build only Dyck words, so none is checked
-    again.
+    nothing; only F_s goes through the insertion kernel (:func:`_frontiers`),
+    each child with one lookup of its parent in the level just built, and
+    the kernel skips the preimages of its own word, whose parent is in
+    U_s.  The frontier is small where the up-set fills most of a level:
+    for te_3 it holds 6,765 of the 667,875 words at s = 13.  Both routes
+    build only Dyck words, so none is checked again.
 
     The levels grow with C(s_max): up_set(UUDD, 11) peaks at 22 MB on 2
-    vCPUs.  An ``s_max`` above the brute cap :data:`BRUTE_MAX_SEMILENGTH`
+    vCPUs.  :func:`up_set_sizes` gives their sizes from the frontiers
+    alone.  An ``s_max`` above the brute cap :data:`BRUTE_MAX_SEMILENGTH`
     raises :class:`ResourceLimit` before any level is built.
     """
     _check_cap("up-set sweep", "semilength", s_max, BRUTE_MAX_SEMILENGTH)
     levels: list[frozenset[str]] = [frozenset()] * (s_max + 1)
-    if q.semilength <= s_max:
-        levels[q.semilength] = frozenset({q.word})
+    below: frozenset[str] = frozenset()
+    for s, frontier in enumerate(_frontiers(q, s_max, lambda p: p in below),
+                                 q.semilength):
+        below = levels[s] = frozenset(chain(frontier, _preimages(below)))
+    return levels
+
+
+def up_set_sizes(q: DyckPath, s_max: int) -> list[int]:
+    """[|U_0|, ..., |U_{s_max}|]: the sizes of the levels of
+    :func:`up_set`, from its frontiers alone, with no level built.
+
+    *Membership.*  By U_{t+1} = pi^-1(U_t) + F_{t+1}, a word w of
+    semilength t >= s(q) is in U_t iff it is in F_t or pi(w) is in
+    U_{t-1}, so the sweep walks pi down through the frontiers it has
+    kept.  *Size.*  A word with r leading U steps has r + 1 preimages,
+    with 1, ..., r + 1 leading U steps.  So with h_t[r] the words of U_t
+    with r leading U steps, h_{t+1}[f] is the sum of h_t[r] over
+    r >= f - 1 plus the words of F_{t+1} with f leading U steps, and
+    |U_t| is the sum of h_t.
+
+    Memory is that of the frontiers: on 2 vCPUs the sizes for tv_2 to
+    semilength 13 peak at 1.1 MiB of Python objects, where its up-set
+    holds 742,821 words.  An ``s_max`` above the brute cap
+    :data:`BRUTE_MAX_SEMILENGTH` raises :class:`ResourceLimit` before the
+    sweep starts.
+    """
+    _check_cap("up-set sweep", "semilength", s_max, BRUTE_MAX_SEMILENGTH)
+    frontiers: list[set[str]] = []
+
+    def contains(word: str) -> bool:
+        for frontier in reversed(frontiers):
+            if word in frontier:
+                return True
+            word = word[1:].replace("D", "", 1)
+        return False
+
+    sizes = [0] * (s_max + 1)
+    ups = [0] * q.semilength  # ups[r]: words of the level with r leading U
+    for s, frontier in enumerate(_frontiers(q, s_max, contains),
+                                 q.semilength):
+        frontiers.append(frontier)
+        # the preimages with f leading U come from every r >= f - 1
+        ups = [0, *reversed(list(accumulate(reversed(ups))))]
+        for word in frontier:  # find gives -1 for the empty word
+            ups[max(word.find("D"), 0)] += 1
+        sizes[s] = sum(ups)
+    return sizes
+
+
+def _frontiers(q: DyckPath, s_max: int,
+               contains: Callable[[str], bool]) -> Iterator[set[str]]:
+    """Yield the frontiers F_s of the up-set of q, s = s(q), ..., s_max
+    (see :func:`up_set`): the one sweep behind :func:`up_set` and
+    :func:`up_set_sizes`.
+
+    ``contains(p)`` tells whether p, a word of the level below the
+    frontier being built, contains q.  It is asked only after that
+    level's frontier was yielded, so a caller may answer from the level it
+    built or walk pi down through the frontiers.  The insertion kernel
+    runs once on each frontier word below s_max.
+    """
+    if q.semilength > s_max:
+        return
     frontier = {q.word}
+    yield frontier
     # No path of semilength >= 1 contains the empty path: UD has no lower
     # covers, although the single insertion into the empty word is UD.
-    for s in range(q.semilength + 1, s_max + 1 if q.word else 0):
-        below = levels[s - 1]
+    for _ in range(q.semilength + 1, s_max + 1 if q.word else 0):
         children: set[str] = set()
         for word in frontier:
             _insertion_words(word, children)
         frontier = {c for c in children
-                    if c[1:].replace("D", "", 1) not in below}
-        levels[s] = frozenset(chain(
-            frontier,
-            ("U" + p[:t] + "D" + p[t:]
-             for p in below for t in range(p.find("D") + 1))))
-    return levels
+                    if not contains(c[1:].replace("D", "", 1))}
+        yield frontier
 
 
 # ---------------------------------------------------------------------------

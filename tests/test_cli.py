@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from shipat import avoidance
+from shipat import avoidance, poset
 from shipat.cli import main
 
 TV5_LINE = "1 2 5 14 42 131 413 1294 4007 12272 37277 112622 339152 1019457\n"
@@ -87,8 +87,9 @@ class TestCountAvoiders:
         assert out == "n,count\n0,1\n1,2\n2,5\n3,14\n"
 
     def test_brute_cap_fails_before_counting(self, capsys, monkeypatch):
+        # the rows read their sizes off the one frontier sweep
         calls = []
-        monkeypatch.setattr(avoidance, "up_set",
+        monkeypatch.setattr(poset, "_frontiers",
                             lambda *args, **kwargs: calls.append(args))
         for method in ("brute", "both"):
             code, out, err = run_cli(capsys, "count-avoiders", "--family",

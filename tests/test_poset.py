@@ -23,11 +23,17 @@ from shipat import (
     lower_covers,
     parse_path,
     up_set,
+    up_set_sizes,
     upper_covers,
     upper_covers_by_search,
 )
 from shipat import poset
-from shipat.avoidance import FAMILY_TAGS, avoids_characterized, pattern
+from shipat.avoidance import (
+    FAMILY_TAGS,
+    avoids_characterized,
+    brute_avoider_counts,
+    pattern,
+)
 from shipat.covers import (
     ALL_BRANCHES,
     classify_branch,
@@ -220,14 +226,19 @@ class TestInsertionKernel:
         assert ups == _upper_by_all_pairs(word)
 
     def test_fills_the_set_it_is_given(self):
+        """The kernel adds every upper cover but perhaps the preimages
+        of its word under the canonical parent, which upper_covers adds."""
         words = [p.word for s in range(7) for p in enumerate_paths(s)]
         expected = {word: _upper_by_all_pairs(word) for word in words}
         for first in words:
             filled = poset._insertion_words(first, set())
+            assert filled <= expected[first]
+            assert filled | set(_preimages(first)) == expected[first]
             for second in words:
                 out = set(filled)
                 assert poset._insertion_words(second, out) is out
-                assert out == expected[first] | expected[second]
+                assert out | set(_preimages(second)) == \
+                    filled | expected[second]
 
 
 def _up_set_by_covers(q, s_max):
@@ -266,15 +277,30 @@ class TestUpSet:
             assert up_set(q, 10)[10] == expected
 
 
+class TestUpSetSizes:
+    def test_sizes_are_the_level_sizes(self):
+        patterns = [(q, 9) for s in range(6) for q in enumerate_paths(s)]
+        patterns += [(pattern(tag, k), 11)
+                     for tag in FAMILY_TAGS for k in (2, 3, 4, 5)]
+        assert len(patterns) == 65 + 20
+        for q, s_max in patterns:
+            assert up_set_sizes(q, s_max) == \
+                [len(level) for level in up_set(q, s_max)], q.word
+
+    def test_pattern_above_the_range(self):
+        assert up_set_sizes(parse_path("UUDD"), 1) == [0, 0]
+        assert up_set_sizes(EMPTY_PATH, 3) == [1, 0, 0, 0]
+
+
 def _parent(word):
     """The canonical parent: the word without its first U and first D."""
     return word[1:].replace("D", "", 1)
 
 
 def _preimages(word):
-    """The words whose canonical parent is ``word``."""
+    """The words whose canonical parent is ``word`` (UD for the empty one)."""
     return ["U" + word[:t] + "D" + word[t:]
-            for t in range(word.find("D") + 1)]
+            for t in range(max(word.find("D"), 0) + 1)]
 
 
 class TestCanonicalParent:
@@ -333,6 +359,32 @@ class TestCanonicalParent:
                 with monkeypatch.context() as patch:
                     patch.setattr(poset, "_insertion_words", counted)
                     assert up_set(q, 9) == levels
+                assert sorted(swept) == sorted(below_top)
+
+    def test_rows_sweep_each_frontier_word_once(self, monkeypatch):
+        """Counting avoider rows builds no level, yet the insertion kernel
+        runs once on each frontier word below the top, read here off the
+        levels of up_set, and on no other word."""
+        kernel, swept = poset._insertion_words, []
+
+        def counted(word, out):
+            swept.append(word)
+            return kernel(word, out)
+
+        for tag in FAMILY_TAGS:
+            for k in (2, 3, 4):
+                q = pattern(tag, k)
+                levels = up_set(q, 9)
+                below_top = [q.word] + [
+                    word for s in range(q.semilength + 1, 9)
+                    for word in levels[s]
+                    if _parent(word) not in levels[s - 1]]
+                swept.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(poset, "_insertion_words", counted)
+                    rows = brute_avoider_counts(q, 8)
+                assert rows == [catalan(n + 1) - len(levels[n + 1])
+                                for n in range(9)]
                 assert sorted(swept) == sorted(below_top)
 
 
@@ -616,12 +668,16 @@ class TestBruteCap:
     @pytest.mark.parametrize("work, route, message", [
         ("_insertion_words", lambda: up_set(parse_path("UUDD"), CAP + 1),
          "up-set sweep capped at semilength 13"),
+        ("_insertion_words",
+         lambda: up_set_sizes(parse_path("UUDD"), CAP + 1),
+         "up-set sweep capped at semilength 13"),
         ("_insertions", lambda: upper_covers_by_search(PYRAMID_ABOVE_CAP),
          "cover search capped at semilength 13"),
         ("_lower_cover_words",
          lambda: contains_pattern_noprune(PYRAMID_ABOVE_CAP, parse_path("UD")),
          "containment search capped at semilength 13"),
-    ], ids=["up_set", "upper_covers_by_search", "contains_pattern_noprune"])
+    ], ids=["up_set", "up_set_sizes", "upper_covers_by_search",
+            "contains_pattern_noprune"])
     def test_refused_before_any_work(self, monkeypatch, work, route, message):
         calls = []
         monkeypatch.setattr(poset, work, lambda *args: calls.append(args))
