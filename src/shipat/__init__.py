@@ -12,6 +12,7 @@ from .core import (
     Decomposition,
     DyckPath,
     EMPTY_PATH,
+    IndexOutOfRange,
     MalformedWord,
     NotBalanced,
     NotIrreducible,
@@ -45,7 +46,6 @@ from .core import (
 from .poset import (
     Deletion,
     HasseGraph,
-    IndexOutOfRange,
     avoids,
     bounce_delete,
     contains_pattern,

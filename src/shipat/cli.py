@@ -18,10 +18,11 @@ of ``both`` mode disagree (``DISAGREE`` is already on stdout), and otherwise,
 after ``error: <message>`` on stderr, 1 for
 :class:`~shipat.core.ResourceLimit` or a failed ``verify`` check and 2 for
 ``ValueError``, the type of every parse, family, size and flag error.  Every
-cap is a library constant that raises ``ResourceLimit``, defined in
-:mod:`shipat.core`, before any work; ``count-avoiders --method brute`` and
-``both`` check the family size ``--k`` against the brute cap before the
-pattern is built.
+cap, that of ``poset --max-size`` among them, is a library constant checked
+before any work by the one guard of :mod:`shipat.core`, whose
+``ResourceLimit`` reads ``<work> capped at <unit> <cap>``;
+``count-avoiders --method brute`` and ``both`` check the family size
+``--k`` against the brute cap before the pattern is built.
 
 ``count-avoiders --method closed`` takes every row from one call of
 :func:`~shipat.avoidance.avoider_rows`: the rows of every family come off

@@ -55,14 +55,18 @@ class PrefixViolation(ValueError):
         super().__init__(f"prefix ending at index {index} has more D than U steps")
 
 
+class IndexOutOfRange(ValueError):
+    """A deletion or column refers to a step index the path does not have."""
+
+
 class ResourceLimit(RuntimeError):
     """A request exceeds one of the package's fixed size caps."""
 
 
 def _check_cap(work: str, unit: str, size: int, cap: int) -> None:
     """The one size guard: refuse a ``size`` above ``cap`` with the message
-    ``<work> capped at <unit> <cap>``.  Every cap but the node budget of
-    :func:`~shipat.poset.hasse` is checked here, before any work."""
+    ``<work> capped at <unit> <cap>``.  Every cap of the package is checked
+    here, before any work, and nothing else raises :class:`ResourceLimit`."""
     if size > cap:
         raise ResourceLimit(f"{work} capped at {unit} {cap}")
 
@@ -83,14 +87,13 @@ def _validate_word(word: str) -> None:
         raise NotBalanced(len(word), ups, downs)
 
 
-class _Record:
-    """Base of the value classes: a subclass names its fields in
-    ``__slots__``, in constructor order, and sets them with :meth:`_fill`.
+class _Frozen:
+    """Base of the value classes, all immutable: a subclass names its fields
+    in ``__slots__``, in constructor order, and sets them with :meth:`_fill`.
 
-    Equality (same class and equal field tuples), ``repr``, pickling and
-    positional ``match`` patterns all follow the field tuple.  A plain
-    record is mutable and unhashable; :class:`_Frozen` and
-    :class:`_Ordered` add what the frozen values need.
+    Equality (same class and equal field tuples), hashing, ``repr``,
+    pickling and positional ``match`` patterns all follow the field tuple;
+    :class:`_Ordered` adds the order.
     """
 
     __slots__ = ()
@@ -124,12 +127,6 @@ class _Record:
         # A frozen instance cannot have its slots restored by assignment,
         # so unpickling and copying call the constructor again.
         return type(self), self._values()
-
-
-class _Frozen(_Record):
-    """An immutable record, hashed by its field tuple."""
-
-    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -288,10 +285,13 @@ def _paths_after(s: int, prefix: str, ups: int, downs: int) -> Iterator[DyckPath
         word = word[:t] + "U" + "D" * (ups - downs) + "UD" * (s - ups)
 
 
+_SWAP_STEPS = str.maketrans("UD", "DU")
+
+
 def mirror(p: DyckPath) -> DyckPath:
-    """Reverse-complement: read the word backwards swapping U and D."""
-    swapped = {"U": "D", "D": "U"}
-    return DyckPath("".join(swapped[c] for c in reversed(p.word)))
+    """Reverse-complement: read the word backwards swapping U and D.  The
+    reverse-complement of a Dyck word is a Dyck word."""
+    return DyckPath._trusted(p.word[::-1].translate(_SWAP_STEPS))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from .core import (
     DyckPath,
-    _Record,
+    IndexOutOfRange,
+    _Frozen,
     _check_cap,
     _steps_before,
     _word_cuts,
@@ -40,8 +41,7 @@ from .core import (
     enumerate_paths,
     is_irreducible,
 )
-from .poset import (BRUTE_MAX_SEMILENGTH, IndexOutOfRange, lower_covers,
-                    upper_covers)
+from .poset import BRUTE_MAX_SEMILENGTH, lower_covers, upper_covers
 
 # Dispatch branch names, in matching precedence order.
 BRANCH_EMPTY = "empty"
@@ -226,7 +226,7 @@ def compose_inside(x: DyckPath, y: DyckPath) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
-class AuditReport(_Record):
+class AuditReport(_Frozen):
     """Outcome of the brute-force audit of the closed cover counts."""
 
     __slots__ = ("max_semilength", "paths_checked", "branch_counts",
@@ -240,9 +240,8 @@ class AuditReport(_Record):
                  branch_counts: dict[str, int] | None = None,
                  mismatches: list[tuple[str, str, str, int, int]] | None = None
                  ) -> None:
-        self._fill(max_semilength, paths_checked,
-                   {} if branch_counts is None else branch_counts,
-                   [] if mismatches is None else mismatches)
+        self._fill(max_semilength, paths_checked, dict(branch_counts or {}),
+                   list(mismatches or ()))
 
     @property
     def ok(self) -> bool:
@@ -270,18 +269,15 @@ def audit_cover_counts(max_semilength: int = 8) -> AuditReport:
     """
     _check_cap("cover audit", "semilength", max_semilength,
                BRUTE_MAX_SEMILENGTH)
-    report = AuditReport(max_semilength)
+    branch_counts, mismatches = {}, []
     for s in range(1, max_semilength + 1):
         for p in enumerate_paths(s):
             branch = classify_branch(p)
-            report.paths_checked += 1
-            report.branch_counts[branch] = report.branch_counts.get(branch, 0) + 1
-            closed_lc = count_lower_covers(p)
-            brute_lc = len(lower_covers(p))
-            if closed_lc != brute_lc:
-                report.mismatches.append((p.word, branch, "lower", closed_lc, brute_lc))
-            closed_uc = count_upper_covers(p)
-            brute_uc = len(upper_covers(p))
-            if closed_uc != brute_uc:
-                report.mismatches.append((p.word, branch, "upper", closed_uc, brute_uc))
-    return report
+            branch_counts[branch] = branch_counts.get(branch, 0) + 1
+            for which, closed, brute in (
+                    ("lower", count_lower_covers(p), len(lower_covers(p))),
+                    ("upper", count_upper_covers(p), len(upper_covers(p)))):
+                if closed != brute:
+                    mismatches.append((p.word, branch, which, closed, brute))
+    return AuditReport(max_semilength, sum(branch_counts.values()),
+                       branch_counts, mismatches)

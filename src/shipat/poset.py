@@ -38,11 +38,11 @@ on 2 vCPUs the sizes for te_3 to semilength 13 take 0.14-0.17 s and
 
 The brute routes, :func:`up_set`, :func:`up_set_sizes`,
 :func:`upper_covers_by_search` and :func:`contains_pattern_noprune`, share
-one size cap, :data:`BRUTE_MAX_SEMILENGTH`, and cover listing has its
-own.  Each is
-checked before any work and raises :class:`~shipat.core.ResourceLimit`,
-which lives in :mod:`shipat.core` with the other typed errors and is
-importable from here too.
+one size cap, :data:`BRUTE_MAX_SEMILENGTH`; cover listing and
+:func:`hasse` have their own.  Each is a semilength checked by the one
+guard before any work, which raises :class:`~shipat.core.ResourceLimit`.
+It and :class:`~shipat.core.IndexOutOfRange` live in :mod:`shipat.core`
+with the other typed errors and are importable from here too.
 """
 
 from __future__ import annotations
@@ -52,18 +52,13 @@ from typing import Callable, Iterable, Iterator
 
 from .core import (
     DyckPath,
+    IndexOutOfRange,
     ResourceLimit,
     _Frozen,
     _RUNS,
     _check_cap,
-    catalan,
     enumerate_paths,
 )
-
-
-class IndexOutOfRange(ValueError):
-    """A deletion refers to a step index the path does not have."""
-
 
 # The largest path whose covers are listed.  On 2 vCPUs, upper_covers of a
 # uniform path of semilength 2,000 builds about 8,000 words of 4,000 steps
@@ -547,7 +542,9 @@ def _frontiers(q: DyckPath, s_max: int,
 # Hasse diagram
 # ---------------------------------------------------------------------------
 
-HASSE_MAX_NODES = 100_000  # the most paths hasse() builds a graph on
+# The largest semilength hasse() builds a graph up to: 82,499 paths to
+# semilength 11, and 290,511 to 12.
+HASSE_MAX_SEMILENGTH = 11
 
 
 class HasseGraph(_Frozen):
@@ -572,18 +569,12 @@ class HasseGraph(_Frozen):
 
 def hasse(max_semilength: int) -> HasseGraph:
     """Build the cover graph on all paths of semilength 1..max_semilength;
-    more than :data:`HASSE_MAX_NODES` paths raise :class:`ResourceLimit`,
-    counted only up to the first semilength that passes the cap."""
+    a ``max_semilength`` above :data:`HASSE_MAX_SEMILENGTH` raises
+    :class:`ResourceLimit` before any path is built."""
     if max_semilength < 1:
         raise ValueError("max_semilength must be >= 1")
-    total = 0
-    for s in range(1, max_semilength + 1):
-        total += catalan(s)
-        if total > HASSE_MAX_NODES:
-            upto = ("" if s == max_semilength
-                    else f" up to semilength {s} already")
-            raise ResourceLimit(f"{total} nodes{upto} exceed the budget of "
-                                f"{HASSE_MAX_NODES}")
+    _check_cap("poset graph", "semilength", max_semilength,
+               HASSE_MAX_SEMILENGTH)
     levels = [tuple(enumerate_paths(s)) for s in range(1, max_semilength + 1)]
     edges = []
     for level in levels[1:]:

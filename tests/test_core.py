@@ -362,3 +362,13 @@ def test_resource_limit_lives_in_core():
     core._check_cap("listing", "size", 5, 5)
     with pytest.raises(core.ResourceLimit, match="^listing capped at size 5$"):
         core._check_cap("listing", "size", 6, 5)
+
+
+def test_index_out_of_range_lives_in_core():
+    import shipat
+    from shipat import core, covers, poset
+
+    assert (shipat.IndexOutOfRange is poset.IndexOutOfRange
+            is covers.IndexOutOfRange is core.IndexOutOfRange)
+    assert core.IndexOutOfRange.__module__ == "shipat.core"
+    assert issubclass(core.IndexOutOfRange, ValueError)

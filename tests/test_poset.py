@@ -21,13 +21,14 @@ from shipat import (
     export_dot,
     hasse,
     lower_covers,
+    mirror,
     parse_path,
     up_set,
     up_set_sizes,
     upper_covers,
     upper_covers_by_search,
 )
-from shipat import poset
+from shipat import core, poset
 from shipat.avoidance import (
     FAMILY_TAGS,
     avoids_characterized,
@@ -411,10 +412,11 @@ class TestKernelAtScale:
 
 
 class TestTrustedWords:
-    """enumerate_paths, lower_covers and upper_covers turn their own words
-    into paths unchecked, and up_set keeps its words unchecked; every such
-    word passes the validating constructor all the same.  TestKernelAtScale
-    does the same for the covers of its corpus, which it builds anyway."""
+    """enumerate_paths, lower_covers, upper_covers and mirror turn their own
+    words into paths unchecked, and up_set keeps its words unchecked; every
+    such word passes the validating constructor all the same.
+    TestKernelAtScale does the same for the covers of its corpus, which it
+    builds anyway."""
 
     def test_trusted_words_are_dyck(self):
         paths = [p for s in range(10) for p in enumerate_paths(s)]
@@ -425,6 +427,7 @@ class TestTrustedWords:
         for tag in FAMILY_TAGS:
             for k in (2, 3, 4):
                 words.update(*up_set(pattern(tag, k), 9))
+        words.update([mirror(DyckPath(word)).word for word in words])
         assert {DyckPath(word).word for word in words} == words
 
 
@@ -456,7 +459,7 @@ class TestContainment:
         assert not contains_pattern(parse_path("UD"), EMPTY_PATH)
         assert up_set(EMPTY_PATH, 3) == [{""}, set(), set(), set()]
 
-    def test_pruned_matches_unpruned(self):
+    def test_fixpoint_matches_the_word_search(self):
         paths = [p for s in range(1, 6) for p in enumerate_paths(s)]
         for p in paths:
             for q in paths:
@@ -504,7 +507,7 @@ def _few_bounces_word(rng, s, bounces):
     return word
 
 
-class TestContainmentScan:
+class TestContainmentOracles:
     def test_matches_word_search_on_samples(self):
         # every pair at s <= 6 takes the word search 3.6 s; the down-set
         # test below covers every such pair against the same kernel
@@ -713,18 +716,19 @@ class TestHasse:
         calls = []
         monkeypatch.setattr(poset, "enumerate_paths",
                             lambda *args: calls.append(args))
-        with pytest.raises(ResourceLimit):
-            hasse(12)
+        monkeypatch.setattr(core, "catalan", lambda *args: calls.append(args))
+        for max_semilength in (12, 10 ** 6):
+            with pytest.raises(ResourceLimit, match="^poset graph capped at "
+                               "semilength 11$"):
+                hasse(max_semilength)
         assert calls == []
 
-    def test_resource_limit_stops_at_the_cap(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(poset, "catalan",
-                            lambda s: sizes.append(s) or catalan(s))
-        with pytest.raises(ResourceLimit, match="^290511 nodes up to "
-                           "semilength 12 already exceed the budget"):
-            hasse(10 ** 6)
-        assert sizes == list(range(1, 13))
+    def test_the_cap_itself_is_accepted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(poset, "enumerate_paths",
+                            lambda *args: calls.append(args) or ())
+        assert hasse(poset.HASSE_MAX_SEMILENGTH).node_count == 0
+        assert calls == [(s,) for s in range(1, 12)]
 
     def test_dot_golden(self):
         expected = (

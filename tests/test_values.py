@@ -155,13 +155,18 @@ def test_sequence_fields_are_stored_as_tuples(cls, kwargs, text, other, bad):
     assert repr(from_lists) == text
 
 
-def test_audit_report_is_mutable_and_unhashable():
-    report = AuditReport(3)
-    assert report == AuditReport(max_semilength=3, paths_checked=0,
-                                 branch_counts={}, mismatches=[])
-    report.paths_checked += 1
-    report.branch_counts["zigzag"] = 1
-    assert report.paths_checked == 1
+def test_audit_report_refuses_assignment():
+    branch_counts, mismatches = {"zigzag": 5}, []
+    report = AuditReport(3, 5, branch_counts, mismatches)
+    for name in AuditReport.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(report, name, getattr(report, name))
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    branch_counts["zigzag"] += 1  # the report holds copies of its arguments
+    mismatches.append(("UD", "minimum", "lower", 1, 0))
+    assert report == AuditReport(max_semilength=3, paths_checked=5,
+                                 branch_counts={"zigzag": 5}, mismatches=[])
     assert AuditReport(3).branch_counts == {}  # defaults are not shared
     with pytest.raises(TypeError):
-        hash(report)
+        hash(report)  # a dict field is unhashable
