@@ -224,7 +224,8 @@ def _word_cuts(heights: list[int], base: int) -> list[int]:
 
 EMPTY_PATH = DyckPath("")
 
-_ALIASES = {"U": "U", "1": "U", "(": "U", "D": "D", "0": "D", ")": "D"}
+_ALIASES = str.maketrans("1(0)", "UUDD")
+_NOT_ALIAS = re.compile(r"[^UD1(0)]")
 
 
 def parse_path(text: str) -> DyckPath:
@@ -234,13 +235,10 @@ def parse_path(text: str) -> DyckPath:
     :class:`PrefixViolation`, each carrying the first offending 1-based index
     (for :class:`NotBalanced` the index is the word length).
     """
-    chars = []
-    for pos, char in enumerate(text.strip(), start=1):
-        norm = _ALIASES.get(char)
-        if norm is None:
-            raise MalformedWord(pos, char)
-        chars.append(norm)
-    return DyckPath("".join(chars))
+    text = text.strip()
+    if (bad := _NOT_ALIAS.search(text)) is not None:
+        raise MalformedWord(bad.start() + 1, bad.group())
+    return DyckPath(text.translate(_ALIASES))
 
 
 def catalan(n: int) -> int:

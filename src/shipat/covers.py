@@ -227,21 +227,23 @@ def compose_inside(x: DyckPath, y: DyckPath) -> DyckPath:
 
 
 class AuditReport(_Frozen):
-    """Outcome of the brute-force audit of the closed cover counts."""
+    """Outcome of the brute-force audit of the closed cover counts: one
+    ``(branch, count)`` per branch met, in :data:`ALL_BRANCHES` order, and
+    one ``(word, branch, which, closed, brute)`` per wrong count."""
 
-    __slots__ = ("max_semilength", "paths_checked", "branch_counts",
-                 "mismatches")
+    __slots__ = ("max_semilength", "branch_counts", "mismatches")
     max_semilength: int
-    paths_checked: int
-    branch_counts: dict[str, int]
-    mismatches: list[tuple[str, str, str, int, int]]
+    branch_counts: tuple[tuple[str, int], ...]
+    mismatches: tuple[tuple[str, str, str, int, int], ...]
 
-    def __init__(self, max_semilength: int, paths_checked: int = 0,
-                 branch_counts: dict[str, int] | None = None,
-                 mismatches: list[tuple[str, str, str, int, int]] | None = None
-                 ) -> None:
-        self._fill(max_semilength, paths_checked, dict(branch_counts or {}),
-                   list(mismatches or ()))
+    def __init__(self, max_semilength: int, branch_counts: tuple,
+                 mismatches: tuple) -> None:
+        self._fill(max_semilength, tuple(map(tuple, branch_counts)),
+                   tuple(map(tuple, mismatches)))
+
+    @property
+    def paths_checked(self) -> int:
+        return sum(count for _, count in self.branch_counts)
 
     @property
     def ok(self) -> bool:
@@ -250,9 +252,8 @@ class AuditReport(_Frozen):
     def summary_lines(self) -> list[str]:
         lines = [f"cover audit up to semilength {self.max_semilength}: "
                  f"{self.paths_checked} paths"]
-        for branch in ALL_BRANCHES:
-            if branch in self.branch_counts:
-                lines.append(f"  branch {branch}: {self.branch_counts[branch]} paths")
+        for branch, count in self.branch_counts:
+            lines.append(f"  branch {branch}: {count} paths")
         lines.append(f"  mismatches: {len(self.mismatches)}")
         for word, branch, which, closed, brute in self.mismatches[:20]:
             lines.append(f"    {which} {word} [{branch}]: closed={closed} brute={brute}")
@@ -269,15 +270,16 @@ def audit_cover_counts(max_semilength: int = 8) -> AuditReport:
     """
     _check_cap("cover audit", "semilength", max_semilength,
                BRUTE_MAX_SEMILENGTH)
-    branch_counts, mismatches = {}, []
+    branch_counts, mismatches = dict.fromkeys(ALL_BRANCHES, 0), []
     for s in range(1, max_semilength + 1):
         for p in enumerate_paths(s):
             branch = classify_branch(p)
-            branch_counts[branch] = branch_counts.get(branch, 0) + 1
+            branch_counts[branch] += 1
             for which, closed, brute in (
                     ("lower", count_lower_covers(p), len(lower_covers(p))),
                     ("upper", count_upper_covers(p), len(upper_covers(p)))):
                 if closed != brute:
                     mismatches.append((p.word, branch, which, closed, brute))
-    return AuditReport(max_semilength, sum(branch_counts.values()),
-                       branch_counts, mismatches)
+    return AuditReport(max_semilength,
+                       [pair for pair in branch_counts.items() if pair[1]],
+                       mismatches)

@@ -37,7 +37,7 @@ on 2 vCPUs the sizes for te_3 to semilength 13 take 0.14-0.17 s and
 20 MB peak RSS, where :func:`up_set` holds 667,875 words at the top.
 
 The brute routes, :func:`up_set`, :func:`up_set_sizes`,
-:func:`upper_covers_by_search` and :func:`contains_pattern_noprune`, share
+:func:`upper_covers_by_search` and :func:`contains_pattern_by_search`, share
 one size cap, :data:`BRUTE_MAX_SEMILENGTH`; cover listing and
 :func:`hasse` have their own.  Each is a semilength checked by the one
 guard before any work, which raises :class:`~shipat.core.ResourceLimit`.
@@ -397,7 +397,7 @@ def avoids(p: DyckPath, q: DyckPath) -> bool:
 BRUTE_MAX_SEMILENGTH = 13
 
 
-def contains_pattern_noprune(p: DyckPath, q: DyckPath) -> bool:
+def contains_pattern_by_search(p: DyckPath, q: DyckPath) -> bool:
     """Reference containment for soundness tests: a depth-first search over
     every word below p by bounce deletions, independent of the fixpoint.
 

@@ -57,6 +57,15 @@ class TestParsing:
             parse_path("UXDD")
         assert err.value.index == 2
 
+    def test_malformed_before_prefix_and_balance(self):
+        # "D" alone breaks the prefix rule, but the bad character comes first
+        with pytest.raises(MalformedWord) as err:
+            parse_path("DX")
+        assert (err.value.index, err.value.char) == (2, "X")
+        with pytest.raises(MalformedWord) as err:
+            parse_path("  (1)0x ")
+        assert (err.value.index, err.value.char) == (5, "x")
+
     def test_constructor_rejects_malformed_words(self):
         with pytest.raises(MalformedWord) as err:
             DyckPath("UX")
@@ -71,6 +80,12 @@ class TestParsing:
 
     def test_empty_path_is_legal(self):
         assert parse_path("").semilength == 0
+
+    def test_length_is_the_number_of_steps(self):
+        for s in range(5):
+            for p in enumerate_paths(s):
+                assert len(p) == 2 * p.semilength == len(p.word)
+        assert bool(EMPTY_PATH) is False and bool(parse_path("UD")) is True
 
     def test_paths_are_ordered(self):
         assert sorted([parse_path("UUDD"), parse_path("UDUD")])[0].word == "UDUD"

@@ -163,7 +163,7 @@ class TestAudit:
                             lambda p: count(p) + (p.word == "UUDUDD"))
         report = audit_cover_counts(3)
         assert not report.ok
-        assert report.mismatches == [("UUDUDD", "peak-run", "upper", 8, 7)]
+        assert report.mismatches == (("UUDUDD", "peak-run", "upper", 8, 7),)
         assert "    upper UUDUDD [peak-run]: closed=8 brute=7" in \
             report.summary_lines()
         assert verify._run_one(("covers", "closed-vs-brute", 3)).line() == (
@@ -175,7 +175,7 @@ class TestAudit:
                             lambda p: count(p) + (p.word == "UUDUDD"))
         report = audit_cover_counts(3)
         assert not report.ok
-        assert report.mismatches == [("UUDUDD", "peak-run", "lower", 3, 2)]
+        assert report.mismatches == (("UUDUDD", "peak-run", "lower", 3, 2),)
 
     def test_refused_above_the_brute_cap_before_any_path(self, monkeypatch):
         calls = []

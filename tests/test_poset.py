@@ -41,7 +41,7 @@ from shipat.covers import (
     count_lower_covers,
     count_upper_covers,
 )
-from shipat.poset import contains_pattern_noprune
+from shipat.poset import contains_pattern_by_search
 
 from conftest import dyck_paths, uniform_word
 
@@ -463,7 +463,7 @@ class TestContainment:
         paths = [p for s in range(1, 6) for p in enumerate_paths(s)]
         for p in paths:
             for q in paths:
-                assert contains_pattern(p, q) == contains_pattern_noprune(p, q)
+                assert contains_pattern(p, q) == contains_pattern_by_search(p, q)
 
     def test_transitivity_samples(self):
         paths = [p for s in range(1, 7) for p in enumerate_paths(s)]
@@ -516,7 +516,7 @@ class TestContainmentOracles:
         for _ in range(4000):
             p = rng.choice(levels[rng.randint(1, 6)])
             q = rng.choice(levels[rng.randint(0, p.semilength)])
-            assert contains_pattern(p, q) == contains_pattern_noprune(p, q), (p, q)
+            assert contains_pattern(p, q) == contains_pattern_by_search(p, q), (p, q)
 
     def test_accepts_exactly_the_down_set(self):
         down = {}
@@ -677,10 +677,10 @@ class TestBruteCap:
         ("_insertions", lambda: upper_covers_by_search(PYRAMID_ABOVE_CAP),
          "cover search capped at semilength 13"),
         ("_lower_cover_words",
-         lambda: contains_pattern_noprune(PYRAMID_ABOVE_CAP, parse_path("UD")),
+         lambda: contains_pattern_by_search(PYRAMID_ABOVE_CAP, parse_path("UD")),
          "containment search capped at semilength 13"),
     ], ids=["up_set", "up_set_sizes", "upper_covers_by_search",
-            "contains_pattern_noprune"])
+            "contains_pattern_by_search"])
     def test_refused_before_any_work(self, monkeypatch, work, route, message):
         calls = []
         monkeypatch.setattr(poset, work, lambda *args: calls.append(args))
@@ -693,7 +693,7 @@ class TestBruteCap:
         assert levels[CAP] == {PYRAMID_AT_CAP.word} and not any(levels[:CAP])
         assert len(upper_covers_by_search(PYRAMID_AT_CAP)) == \
             count_upper_covers(PYRAMID_AT_CAP)
-        assert contains_pattern_noprune(PYRAMID_AT_CAP, PYRAMID_AT_CAP)
+        assert contains_pattern_by_search(PYRAMID_AT_CAP, PYRAMID_AT_CAP)
 
 
 class TestHasse:

@@ -2,10 +2,13 @@
 immutability, pickling and keyword construction, one table row per class."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import shipat
 from shipat import (
     Decomposition,
     Deletion,
@@ -17,7 +20,8 @@ from shipat import (
     StandardTableau2,
     WilfReport,
 )
-from shipat.covers import AuditReport
+from shipat.core import _Frozen
+from shipat.covers import AuditReport, audit_cover_counts
 from shipat.verify import CheckResult
 
 UD, UDUD, UUDD = DyckPath("UD"), DyckPath("UDUD"), DyckPath("UUDD")
@@ -60,15 +64,28 @@ ROWS = [
                    "detail": "fine"},
      "CheckResult(suite='core', name='bounce', ok=True, detail='fine')",
      {"suite": "core", "name": "bounce", "ok": False, "detail": "fine"}, None),
-    (AuditReport, {"max_semilength": 3, "paths_checked": 5,
-                   "branch_counts": {"zigzag": 5}, "mismatches": []},
-     "AuditReport(max_semilength=3, paths_checked=5, "
-     "branch_counts={'zigzag': 5}, mismatches=[])",
-     {"max_semilength": 3}, None),
+    (AuditReport, {"max_semilength": 3, "branch_counts": (("zigzag", 5),),
+                   "mismatches": (("UDUDUD", "zigzag", "upper", 7, 6),)},
+     "AuditReport(max_semilength=3, branch_counts=(('zigzag', 5),), "
+     "mismatches=(('UDUDUD', 'zigzag', 'upper', 7, 6),))",
+     {"max_semilength": 3, "branch_counts": (("zigzag", 5),),
+      "mismatches": ()}, None),
 ]
 IDS = [row[0].__name__ for row in ROWS]
-FROZEN = [row for row in ROWS if row[0] is not AuditReport]
 ORDERED = (DyckPath, ShiTableau)
+
+
+def test_every_value_class_has_a_row():
+    for module in pkgutil.iter_modules(shipat.__path__):
+        importlib.import_module(f"shipat.{module.name}")
+    found, bases = set(), [_Frozen]
+    while bases:
+        for cls in bases.pop().__subclasses__():
+            bases.append(cls)
+            if cls.__module__.startswith("shipat.") \
+                    and not cls.__name__.startswith("_"):
+                found.add(cls)
+    assert found == {row[0] for row in ROWS}
 
 
 @pytest.mark.parametrize("cls, kwargs, text, other, bad", ROWS, ids=IDS)
@@ -93,8 +110,7 @@ def test_equality_is_by_class_and_fields(cls, kwargs, text, other, bad):
     assert value.__eq__(fields) is NotImplemented
 
 
-@pytest.mark.parametrize("cls, kwargs, text, other, bad", FROZEN,
-                         ids=[row[0].__name__ for row in FROZEN])
+@pytest.mark.parametrize("cls, kwargs, text, other, bad", ROWS, ids=IDS)
 def test_frozen_hash_is_the_field_tuple_hash(cls, kwargs, text, other, bad):
     value = cls(**kwargs)
     assert hash(value) == hash(tuple(kwargs.values()))
@@ -142,7 +158,7 @@ def _as_lists(value):
     return value
 
 
-SEQUENCE_ROWS = [row for row in FROZEN
+SEQUENCE_ROWS = [row for row in ROWS
                  if any(isinstance(arg, tuple) for arg in row[1].values())]
 
 
@@ -155,18 +171,35 @@ def test_sequence_fields_are_stored_as_tuples(cls, kwargs, text, other, bad):
     assert repr(from_lists) == text
 
 
-def test_audit_report_refuses_assignment():
-    branch_counts, mismatches = {"zigzag": 5}, []
-    report = AuditReport(3, 5, branch_counts, mismatches)
+def _items(value):
+    """The value and, at any depth, every item of a tuple inside it."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _items(item)
+
+
+def test_audit_report_contents_cannot_change():
+    # the report once held a dict and a list: appending to its mismatches
+    # was accepted, and summary_lines then raised TypeError
+    report = audit_cover_counts(5)
+    assert hash(report) == hash(audit_cover_counts(5))
     for name in AuditReport.__slots__:
-        with pytest.raises(AttributeError):
-            setattr(report, name, getattr(report, name))
-        with pytest.raises(AttributeError):
-            delattr(report, name)
-    branch_counts["zigzag"] += 1  # the report holds copies of its arguments
-    mismatches.append(("UD", "minimum", "lower", 1, 0))
-    assert report == AuditReport(max_semilength=3, paths_checked=5,
-                                 branch_counts={"zigzag": 5}, mismatches=[])
-    assert AuditReport(3).branch_counts == {}  # defaults are not shared
-    with pytest.raises(TypeError):
-        hash(report)  # a dict field is unhashable
+        field = getattr(report, name)
+        assert not hasattr(field, "append")
+        assert not hasattr(field, "__setitem__")
+        assert all(type(item) in (int, str, tuple) for item in _items(field))
+    assert (report.paths_checked, report.ok) == (64, True)
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+    assert report.summary_lines() == [
+        "cover audit up to semilength 5: 64 paths",
+        "  branch minimum: 1 paths",
+        "  branch zigzag: 4 paths",
+        "  branch pyramid: 4 paths",
+        "  branch peak-run: 3 paths",
+        "  branch symmetric: 3 paths",
+        "  branch strongly-irreducible: 2 paths",
+        "  branch irreducible-composite: 10 paths",
+        "  branch reducible: 37 paths",
+        "  mismatches: 0",
+    ]

@@ -139,7 +139,7 @@ WRONG_ANSWERS = {
     ],
     ("covers", "containment-order"): [
         (poset, "contains_pattern", 1, _not, "not reflexive"),
-        (poset, "contains_pattern_noprune", 1, _not,
+        (poset, "contains_pattern_by_search", 1, _not,
          "fixpoint and word search disagree"),
     ],
     ("avoidance", "characterizations"): [
