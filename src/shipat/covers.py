@@ -4,24 +4,29 @@ Both counts read the word alone.  One table tests each special shape
 (empty, minimum, zigzag, pyramid, peak-run, symmetric) by string
 comparison and gives its branch name and both counts beside the test.
 Any other word takes one pass of prefix heights, which cuts it into its
-ground factors and, inside each factor f of semilength >= 2, into the
-parts U g D for the interior factors g of f (the factors of f[1:-1] at
-height one).  Each part, a pyramid, a symmetric word or strongly
-irreducible, takes a leaf rule: nothing is dispatched again or recurses.
+#F ground factors and each factor f = U g_1 ... g_m D into the parts
+U g_i D, the g_i the factors of f[1:-1] at height one.  Both counts are
+whole-word statistics less local corrections, with no further dispatch.
 
-Lower covers: a part counts peaks + valleys, one less if it is symmetric.
-Each factor adds its number of parts, a run of adjacent UUDD parts
-counting once, and the word adds one for a UD at either end, less one.
+    lower = peaks + valleys + [starts UD] + [ends UD] - 2 #(factors UD)
+            - #(adjacent UUDD parts in a factor) - #(symmetric parts)
 
-Upper covers: a factor f other than UD counts the column formula
+Part by part, a part counts its peaks and valleys, less one if it is
+symmetric, a factor one per part (a run of UUDD parts once) and the word
+one per UD end, less one.  A part has the peaks and valleys of its g_i
+and f has m - 1 valleys more, so f counts peaks(f) + valleys(f) + 1 less
+its corrections, and the #F ones less one are the valleys between them.
 
-    up_irred(f) = 2s + 1 + sum_i b_i * colU(f, a_1 + ... + a_i)
+    upper = colformula(w) - #F - #(factors UD)
+            + #(parts that are neither a pyramid nor symmetric)
+    colformula(w) = 2s + 1 + sum_i b_i * colU(a_1 + ... + a_i)
 
-(s the semilength, (a_i, b_i) the run form, colU counting U steps in a
-column subpath) less one, plus one for each part that is neither a
-pyramid nor symmetric; a factor UD counts 2.  Ground factors compose as
-
-    |UC(x + y)| = |UC(x)| + |UC(y)| + lastdescent(x) * firstascent(y) - 1.
+with s the semilength, (a_i, b_i) the run form and colU counting U steps
+in a column subpath.  Factor by factor, f counts colformula(f) - 1 plus
+its parts that are neither (UD counts 2).  Across a return the last
+column of a factor x also counts the first ascent of the next factor y,
+adding lastdescent(x) * firstascent(y) to the word's column sum, and the
+2s + 1 terms of the factors add up to #F - 1 more than the word's.
 
 :func:`classify_branch` names the special shape, or splits the rest three
 ways by the first return to height 0 and 1.  Every branch is audited
@@ -142,7 +147,7 @@ def column_subpath_ucount(p: DyckPath, c: int) -> int:
     return table[c + 2] - table[c]
 
 
-def _up_irred(w: str) -> int:
+def _column_formula(w: str) -> int:
     """Column formula 2s + 1 + sum b_i * colU(a_1 + ... + a_i) of a word.
 
     The b_i D steps of the i-th descent run each have a_1 + ... + a_i U
@@ -167,14 +172,15 @@ def count_lower_covers(p: DyckPath) -> int:
         raise ValueError("lower covers need semilength >= 1")
     if (special := _special(w)) is not None:
         return special[1]
-    total = w.startswith("UD") + w.endswith("UD") - 1
-    for _, parts in _factor_parts(w):
-        # a run of adjacent UUDD parts counts as one part
-        total += len(parts) - sum(1 for left, right in zip(parts, parts[1:])
-                                  if left == right == "UUDD")
-        total += sum(v.count("UD") + v.count("DU") - _is_symmetric(v)
-                     for v in parts)
-    return total
+    factors = _factor_parts(w)
+    # a ground factor UD has no part, and a run of adjacent UUDD parts
+    # counts as one part
+    return (w.count("UD") + w.count("DU") + w.startswith("UD")
+            + w.endswith("UD")
+            - 2 * sum(factor == "UD" for factor, _ in factors)
+            - sum(_is_symmetric(v) for _, parts in factors for v in parts)
+            - sum(left == right == "UUDD" for _, parts in factors
+                  for left, right in zip(parts, parts[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +194,12 @@ def count_upper_covers(p: DyckPath) -> int:
     if (special := _special(w)) is not None:
         return special[2]
     factors = _factor_parts(w)
-    total = 0
-    for factor, parts in factors:
-        if factor == "UD":
-            total += 2
-        else:
-            # one for each part that is neither U^m D^m nor symmetric
-            total += _up_irred(factor) - 1 + sum(
-                1 for v in parts
-                if 2 * v.find("D") != len(v) and not _is_symmetric(v))
-    for (left, _), (right, _) in zip(factors, factors[1:]):
-        total += ((len(left) - len(left.rstrip("D")))
-                  * (len(right) - len(right.lstrip("U"))) - 1)
-    return total
+    # a ground factor UD counts one less, and each part that is neither
+    # U^m D^m nor symmetric one more
+    return (_column_formula(w) - len(factors)
+            - sum(factor == "UD" for factor, _ in factors)
+            + sum(2 * v.find("D") != len(v) and not _is_symmetric(v)
+                  for _, parts in factors for v in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -203,15 +203,14 @@ def check_lower_cover_exists(n_max: int) -> str:
     return f"every path of semilength 2..{n_max} has a lower cover"
 
 
-def check_up_irred_dual_route(n_max: int) -> str:
+def check_column_formula_dual_route(n_max: int) -> str:
     for p in _paths_upto(n_max):
-        if covers.classify_branch(p) in (covers.BRANCH_STRONG, covers.BRANCH_SYMMETRIC):
-            if covers._up_irred(p.word) != _up_irred_from_runs(p):
-                raise CheckFailed(p.word)
+        if covers._column_formula(p.word) != _column_formula_from_runs(p):
+            raise CheckFailed(p.word)
     return "word-scan and run-form evaluations agree"
 
 
-def _up_irred_from_runs(p: DyckPath) -> int:
+def _column_formula_from_runs(p: DyckPath) -> int:
     """Column formula computed purely from run-length arithmetic."""
     rf = run_form(p)
     asc, desc = rf.ascents, rf.descents
@@ -410,7 +409,7 @@ SUITES: dict[str, dict[str, Callable[[int], str]]] = {
         "closed-vs-brute": check_cover_audit,
         "inverse-consistency": check_inverse_consistency,
         "lower-cover-exists": check_lower_cover_exists,
-        "column-formula-dual": check_up_irred_dual_route,
+        "column-formula-dual": check_column_formula_dual_route,
         "double-cover": check_double_covers,
         "containment-order": check_containment_properties,
     },

@@ -143,14 +143,6 @@ class TestAudit:
         assert report.paths_checked == sum(
             1 for s in range(1, 7) for _ in enumerate_paths(s))
 
-    def test_closed_equals_brute_spotchecks(self):
-        import random
-        rng = random.Random(99)
-        paths = [p for p in enumerate_paths(8)]
-        for p in rng.sample(paths, 60):
-            assert count_lower_covers(p) == len(lower_covers(p))
-            assert count_upper_covers(p) == len(upper_covers(p))
-
     def test_report_lines(self):
         report = audit_cover_counts(4)
         text = "\n".join(report.summary_lines())
@@ -199,6 +191,65 @@ class TestWordLevelCounts:
                 if s:
                     assert count_lower_covers(p) == len(lower_covers(p))
                 assert count_upper_covers(p) == len(upper_covers(p))
+
+    def test_seeded_large_semilength_against_brute(self):
+        # past the exhaustive range: uniform words at s = 100, 400 and 1000,
+        # and built words with UD ground factors first, in the middle and
+        # last, runs of adjacent UUDD parts, and symmetric and pyramid parts
+        # inside a composite factor
+        rng = random.Random(30)
+        words = [uniform_word(rng, s) for s in (100, 400, 1000)
+                 for _ in range(2)]
+
+        def factor(*parts):
+            # U g_1 ... g_m D has the parts U g_i D
+            return "U" + "".join(v[1:-1] for v in parts) + "D"
+
+        pyramid, run = "U" * 40 + "D" * 40, ["UUDD"] * 25
+        wide = "U" * 6 + "DU" * 30 + "D" * 6  # symmetric, r >= a - 1
+        tall = "U" * 20 + "DU" * 5 + "D" * 20  # symmetric, r < a - 1
+        strong = ["UU" + uniform_word(rng, s) + "DD" for s in (58, 148)]
+        parts = [wide, *run, pyramid, strong[0], "UUDD", tall, *run,
+                 strong[1], "UUDD", "UUDD"]
+        composite = factor(*parts)
+        assert covers._factor_parts(composite) == [(composite, parts)]
+        words += [
+            composite,
+            "UD" + composite + "UD" + uniform_word(rng, 300) + "UD",
+            "UDUD" + factor(*run, pyramid) + "UD" + composite + "UDUD",
+            factor(strong[0], *run) + "UD" + factor(*run, tall) + pyramid,
+            factor(pyramid, wide) + factor(tall, pyramid),
+        ]
+        for p in map(DyckPath, words):
+            assert covers._special(p.word) is None
+            assert count_lower_covers(p) == len(lower_covers(p))
+            assert count_upper_covers(p) == len(upper_covers(p))
+
+    @staticmethod
+    def _composition_holds(x, y, up_x, up_y):
+        # |UC(x + y)| = |UC(x)| + |UC(y)| + lastdescent(x) * firstascent(y) - 1
+        last_descent = len(x) - len(x.rstrip("D"))
+        first_ascent = len(y) - len(y.lstrip("U"))
+        return (count_upper_covers(DyckPath(x + y))
+                == up_x + up_y + last_descent * first_ascent - 1)
+
+    def test_composition_lemma_exhaustive(self):
+        upper = {p.word: count_upper_covers(p)
+                 for s in range(1, 9) for p in enumerate_paths(s)}
+        pairs = [(x, y) for x in upper for y in upper
+                 if len(x) + len(y) <= 18]
+        assert len(pairs) == 9878
+        for x, y in pairs:
+            assert self._composition_holds(x, y, upper[x], upper[y]), (x, y)
+
+    def test_composition_lemma_seeded(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            x, y = (uniform_word(rng, rng.randrange(200, 501))
+                    for _ in range(2))
+            assert self._composition_holds(
+                x, y, count_upper_covers(DyckPath(x)),
+                count_upper_covers(DyckPath(y))), (x, y)
 
     @pytest.mark.parametrize("word, lower", [
         ("UUDUUDDD", 3),
@@ -305,7 +356,7 @@ class TestWordLevelCounts:
                 word = "U" * a + "DU" * r + "D" * a
                 p = DyckPath(word)
                 assert classify_branch(p) == "symmetric"
-                assert count_upper_covers(p) == covers._up_irred(word) - 1
+                assert count_upper_covers(p) == covers._column_formula(word) - 1
                 assert count_lower_covers(p) == \
                     word.count("UD") + word.count("DU") - 1
                 if a + r <= 9:

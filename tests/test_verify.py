@@ -131,7 +131,7 @@ WRONG_ANSWERS = {
         (poset, "lower_covers", 1, lambda downs: frozenset(), "UDUD"),
     ],
     ("covers", "column-formula-dual"): [
-        (covers, "_up_irred", 1, _plus_one, "UUUDUDDD"),
+        (covers, "_column_formula", 1, _plus_one, "UD"),
     ],
     ("covers", "double-cover"): [
         (verify, "classify_double_cover", 1, lambda kind: "unclassified",
