@@ -13,6 +13,7 @@ from shipat import (
     avoids_characterized,
     ballot_count,
     bounce_path,
+    brute_avoider_counts,
     count_avoiders_brute,
     count_avoiders_closed,
     enumerate_paths,
@@ -23,7 +24,6 @@ from shipat import (
     parse_path,
     pattern,
     return_points,
-    wilf_check,
     zeta,
 )
 from shipat.avoidance import sequence_oeis
@@ -47,11 +47,15 @@ for n in range(2, 7):
           f"   tg {count_avoiders_closed('tg', 2, n):3d}"
           f" (brute {count_avoiders_brute(pattern('tg', 2), n):3d})")
 
-# Wilf classes at size 2: {te, tf} and {tg, tor, tv}.
-print("\nte vs tf:", "equal" if wilf_check("te", "tf", 2, 6).equal else "differ")
-report = wilf_check("te", "tg", 2, 4)
-print("te vs tg:", f"first divergence at n={report.first_divergence}",
-      report.counts_a, report.counts_b)
+# Wilf classes at size 2: {te, tf} and {tg, tor, tv}.  Two patterns are
+# Wilf-equivalent when their avoider rows are equal for every size n.
+te_row, tf_row = (brute_avoider_counts(pattern(tag, 2), 6)
+                  for tag in ("te", "tf"))
+print("\nte vs tf:", "equal" if te_row == tf_row else "differ")
+te_row, tg_row = (tuple(brute_avoider_counts(pattern(tag, 2), 4))
+                  for tag in ("te", "tg"))
+divergence = next(n for n, (a, b) in enumerate(zip(te_row, tg_row)) if a != b)
+print("te vs tg:", f"first divergence at n={divergence}", te_row, tg_row)
 
 # The published avoider sequences for tv_5 and tv_6.
 print("\ntv_5 avoiders:", sequence_oeis(avoider_rows("tv", 5, 13)).strip())

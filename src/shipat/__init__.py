@@ -69,7 +69,6 @@ from .covers import (
 )
 from .avoidance import (
     UnsupportedFamily,
-    WilfReport,
     avoider_rows,
     avoids_characterized,
     ballot_count,
@@ -81,7 +80,6 @@ from .avoidance import (
     f_count_oracle,
     flatten_high_peaks,
     pattern,
-    wilf_check,
     zeta,
 )
 

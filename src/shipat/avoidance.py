@@ -40,7 +40,6 @@ import math
 
 from .core import (
     DyckPath,
-    _Frozen,
     _check_cap,
     area_vector,
     catalan,
@@ -380,8 +379,8 @@ def count_avoiders_brute(q: DyckPath, n: int) -> int:
 
 
 def _check_brute_size(n: int) -> None:
-    """Refuse a row or a family pattern of tableau size above
-    :data:`BRUTE_MAX_TABLEAU_SIZE`, before it is built."""
+    """Refuse a row, or the CLI's family size ``--k``, of tableau size
+    above :data:`BRUTE_MAX_TABLEAU_SIZE`, before it is built."""
     _check_cap("brute avoider counting", "size", n, BRUTE_MAX_TABLEAU_SIZE)
 
 
@@ -472,45 +471,6 @@ def count_avoiders_closed(tag: str, k: int, n: int) -> int:
     if _bounded_height_family(tag, k):
         return bounded_height_count(n + 1, k)
     return avoider_rows(tag, k, n)[-1]
-
-
-class WilfReport(_Frozen):
-    """Brute avoider counts of two families side by side."""
-
-    __slots__ = ("tag_a", "tag_b", "k", "counts_a", "counts_b")
-    tag_a: str
-    tag_b: str
-    k: int
-    counts_a: tuple[int, ...]
-    counts_b: tuple[int, ...]
-
-    def __init__(self, tag_a: str, tag_b: str, k: int,
-                 counts_a: tuple[int, ...], counts_b: tuple[int, ...]) -> None:
-        self._fill(tag_a, tag_b, k, tuple(counts_a), tuple(counts_b))
-
-    @property
-    def equal(self) -> bool:
-        return self.counts_a == self.counts_b
-
-    @property
-    def first_divergence(self) -> int | None:
-        for n, (a, b) in enumerate(zip(self.counts_a, self.counts_b)):
-            if a != b:
-                return n
-        return None
-
-
-def wilf_check(tag_a: str, tag_b: str, k: int, n_max: int) -> WilfReport:
-    """Tabulate brute counts of two families for n = 0..n_max.
-
-    A family size k above :data:`BRUTE_MAX_TABLEAU_SIZE` raises
-    :class:`~shipat.core.ResourceLimit` before either pattern is built.
-    """
-    _check_brute_size(k)
-    qa, qb = pattern(tag_a, k), pattern(tag_b, k)
-    counts_a = tuple(brute_avoider_counts(qa, n_max))
-    counts_b = tuple(brute_avoider_counts(qb, n_max))
-    return WilfReport(tag_a, tag_b, k, counts_a, counts_b)
 
 
 def sequence_csv(counts: list[int]) -> str:

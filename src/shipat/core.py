@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import re
 from functools import total_ordering
-from itertools import accumulate, count
-from operator import attrgetter, sub
+from itertools import accumulate, count, pairwise
+from operator import attrgetter, index, sub
 from typing import Iterator, Sequence
 
 
@@ -301,14 +301,15 @@ class ShiTableau(_Ordered):
     """A Shi tableau of size n, stored as its area vector a_1..a_{n+1}.
 
     ``area[i-1]`` is the number of empty boxes in row i; row i has i - 1
-    boxes, full cells are the leftmost ones of each row.
+    boxes, full cells are the leftmost ones of each row.  An entry that is
+    not an integer raises :class:`TypeError`.
     """
 
     __slots__ = ("area",)
     area: tuple[int, ...]
 
     def __init__(self, area: tuple[int, ...]) -> None:
-        area = tuple(area)
+        area = tuple(map(index, area))
         if len(area) == 0:
             raise ValueError("area vector must have at least one entry")
         if area[0] != 0:
@@ -395,14 +396,15 @@ def region_inequalities(t: ShiTableau) -> list[str]:
 
 
 class StandardTableau2(_Frozen):
-    """A 2 x s standard Young tableau: U-step and D-step positions."""
+    """A 2 x s standard Young tableau: U-step and D-step positions.  An
+    entry that is not an integer raises :class:`TypeError`."""
 
     __slots__ = ("top", "bottom")
     top: tuple[int, ...]
     bottom: tuple[int, ...]
 
     def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...]) -> None:
-        top, bottom = tuple(top), tuple(bottom)
+        top, bottom = tuple(map(index, top)), tuple(map(index, bottom))
         if len(top) != len(bottom):
             raise ValueError("rows must have equal length")
         size = 2 * len(top)
@@ -475,15 +477,11 @@ def return_points(p: DyckPath) -> list[int]:
 
 
 def bounce_path(p: DyckPath) -> DyckPath:
-    """The bounce path: travel up along the path, drop to the diagonal, repeat."""
-    h = _steps_before(p.word, "D")
-    chunks = []
-    j = 0
-    while j < p.semilength:
-        step = h[j] - j
-        chunks.append("U" * step + "D" * step)
-        j = h[j]
-    return DyckPath("".join(chunks))
+    """The bounce path: travel up along the path, drop to the diagonal,
+    repeat, i.e. U^(b-a) D^(b-a) between consecutive return points a < b."""
+    points = [0, *return_points(p)]
+    return DyckPath("".join("U" * (b - a) + "D" * (b - a)
+                            for a, b in pairwise(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +490,14 @@ def bounce_path(p: DyckPath) -> DyckPath:
 
 
 class RunForm(_Frozen):
-    """Alternating run lengths (a_1, b_1, ..., a_l, b_l) of a path."""
+    """Alternating run lengths (a_1, b_1, ..., a_l, b_l) of a path.  A run
+    length that is not an integer raises :class:`TypeError`."""
 
     __slots__ = ("runs",)
     runs: tuple[int, ...]
 
     def __init__(self, runs: tuple[int, ...]) -> None:
-        runs = tuple(runs)
+        runs = tuple(map(index, runs))
         if len(runs) % 2:
             raise ValueError("runs must alternate ascent/descent pairs")
         if any(r < 1 for r in runs):

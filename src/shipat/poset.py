@@ -48,6 +48,7 @@ with the other typed errors and are importable from here too.
 from __future__ import annotations
 
 from itertools import accumulate, chain
+from operator import index
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -68,13 +69,15 @@ COVERS_MAX_SEMILENGTH = 2_000
 
 
 class Deletion(_Frozen):
-    """A bounce deletion delta_{i,k}: remove U_i and D_k with k in {i-1, i}."""
+    """A bounce deletion delta_{i,k}: remove U_i and D_k with k in {i-1, i}.
+    An index that is not an integer raises :class:`TypeError`."""
 
     __slots__ = ("i", "k")
     i: int
     k: int
 
     def __init__(self, i: int, k: int) -> None:
+        i, k = index(i), index(k)
         if k not in (i - 1, i):
             raise ValueError(f"k must be i-1 or i, got i={i}, k={k}")
         if k < 1:

@@ -291,6 +291,10 @@ class TestRegions:
         with pytest.raises(ValueError):
             region_inequalities(ShiTableau((0,)))
 
+    def test_non_integer_area_gets_no_lines(self):
+        with pytest.raises(TypeError):
+            region_inequalities(ShiTableau((0, 0.5, 1)))
+
     def test_size_above_the_cap_refused_before_any_line(self, monkeypatch):
         from shipat.core import REGION_MAX_SIZE
 

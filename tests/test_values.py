@@ -18,7 +18,6 @@ from shipat import (
     RunForm,
     ShiTableau,
     StandardTableau2,
-    WilfReport,
 )
 from shipat.core import _Frozen
 from shipat.covers import AuditReport, audit_cover_counts
@@ -54,12 +53,6 @@ ROWS = [
      "DyckPath(word='UUDD'))), edges=((DyckPath(word='UDUD'), "
      "DyckPath(word='UD')), (DyckPath(word='UUDD'), DyckPath(word='UD'))))",
      {"levels": ((UD,),), "edges": ()}, None),
-    (WilfReport, {"tag_a": "te", "tag_b": "tg", "k": 2,
-                  "counts_a": (1, 1, 2), "counts_b": (1, 1, 2)},
-     "WilfReport(tag_a='te', tag_b='tg', k=2, counts_a=(1, 1, 2), "
-     "counts_b=(1, 1, 2))",
-     {"tag_a": "te", "tag_b": "tg", "k": 2, "counts_a": (1, 1, 2),
-      "counts_b": (1, 1, 3)}, None),
     (CheckResult, {"suite": "core", "name": "bounce", "ok": True,
                    "detail": "fine"},
      "CheckResult(suite='core', name='bounce', ok=True, detail='fine')",
@@ -149,6 +142,23 @@ def test_ordering_only_where_declared(cls, kwargs, text, other, bad):
     stranger = ShiTableau((0,)) if cls is DyckPath else UD
     with pytest.raises(TypeError):
         value < stranger  # noqa: B015
+
+
+# one construction per value class with integer fields, each passing every
+# range check but holding a float entry
+NON_INTEGERS = [
+    (ShiTableau, ((0, 0.5, 1),)),
+    (StandardTableau2, ((1.0,), (2,))),
+    (RunForm, ((2.0, 2.0),)),
+    (Deletion, (2.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("cls, args", NON_INTEGERS,
+                         ids=[row[0].__name__ for row in NON_INTEGERS])
+def test_non_integer_entries_are_refused_at_construction(cls, args):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        cls(*args)
 
 
 def _as_lists(value):

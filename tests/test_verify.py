@@ -122,16 +122,24 @@ WRONG_ANSWERS = {
     ],
     ("covers", "closed-vs-brute"): [
         (covers, "count_lower_covers", 1, _plus_one, "22 paths, 1 mismatches"),
+        # the 1st lower_covers call is UD, whose count is 0 either way
+        (covers, "lower_covers", 2, lambda downs: frozenset(),
+         "22 paths, 1 mismatches"),
+        (covers, "upper_covers", 1, lambda ups: frozenset(),
+         "22 paths, 1 mismatches"),
     ],
     ("covers", "inverse-consistency"): [
         (poset, "upper_covers_by_search", 1, lambda ups: frozenset(),
          "insertion vs search differ"),
+        (poset, "upper_covers", 1, lambda ups: frozenset(),
+         "insertion vs search differ at UD"),
     ],
     ("covers", "lower-cover-exists"): [
         (poset, "lower_covers", 1, lambda downs: frozenset(), "UDUD"),
     ],
     ("covers", "column-formula-dual"): [
         (covers, "_column_formula", 1, _plus_one, "UD"),
+        (verify, "_column_formula_from_runs", 1, _plus_one, "UD"),
     ],
     ("covers", "double-cover"): [
         (verify, "classify_double_cover", 1, lambda kind: "unclassified",
@@ -144,6 +152,8 @@ WRONG_ANSWERS = {
     ],
     ("avoidance", "characterizations"): [
         (avoidance, "avoids_characterized", 1, _not, "te_2 differs at UD"),
+        (poset, "up_set", 1, lambda levels: [frozenset()] * len(levels),
+         "te_2 differs at UUUDDD"),
     ],
     ("avoidance", "zeta"): [
         (avoidance, "zeta", 1, lambda z: EMPTY_PATH, "size broke"),
@@ -166,10 +176,14 @@ WRONG_ANSWERS = {
     ],
     ("avoidance", "f-count"): [
         (avoidance, "f_count", 1, _plus_one, "mismatch at (0, 0, 0)"),
+        (avoidance, "f_count_oracle", 1, _plus_one, "mismatch at (0, 0, 0)"),
     ],
     ("avoidance", "closed-vs-brute"): [
         (avoidance, "avoider_rows", 1, lambda rows: [rows[0] + 1, *rows[1:]],
          "te_2 at n=0: closed=2 brute=1"),
+        (avoidance, "brute_avoider_counts", 1,
+         lambda rows: [rows[0] + 1, *rows[1:]],
+         "te_2 at n=0: closed=1 brute=2"),
     ],
 }
 
