@@ -17,7 +17,9 @@ Conventions used throughout the package:
 * the word is the canonical representation; area vectors, run forms and
   2 x s standard tableaux are derived views;
 * the empty path (semilength 0) is legal and acts as the identity for
-  concatenation.
+  concatenation;
+* ``_factor_cuts`` and ``_part_cuts`` are the one cut of a word at its
+  returns; the decompositions and the counts of :mod:`shipat.covers` read it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 from functools import total_ordering
 from itertools import accumulate, count, pairwise
 from operator import attrgetter, index, sub
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class MalformedWord(ValueError):
@@ -211,14 +213,22 @@ def _steps_before(word: str, step: str) -> list[int]:
     return list(accumulate(map(len, word.split(step)[:-1])))
 
 
-def _word_cuts(heights: list[int], base: int) -> list[int]:
-    """0 and the end of every step back at height ``base``; the last height
-    must be ``base``.  These bound the ground factors of a word for base 0
-    and its heights, and the interior factors of an irreducible word for
-    base 1 and ``heights[1:-1]``."""
+def _factor_cuts(heights: list[int]) -> list[int]:
+    """0 and the end of every return to height 0 of the Dyck word w with
+    these prefix heights: consecutive cuts a < b bound its ground factors."""
     cuts = [0]
     while cuts[-1] < len(heights):
-        cuts.append(heights.index(base, cuts[-1]) + 1)
+        cuts.append(heights.index(0, cuts[-1]) + 1)
+    return cuts
+
+
+def _part_cuts(heights: list[int], a: int, b: int) -> list[int]:
+    """a + 1 and the end of every return to height 1 inside the ground
+    factor w[a:b] = U g_1 ... g_m D: consecutive cuts c < d bound the g_i =
+    w[c:d], the interior factors, and with them the parts U g_i D."""
+    cuts = [a + 1]
+    while cuts[-1] < b - 1:
+        cuts.append(heights.index(1, cuts[-1], b - 1) + 1)
     return cuts
 
 
@@ -597,26 +607,19 @@ class Decomposition(_Frozen):
         return sum(1 for part in self.parts if part.kind == CONNECTING)
 
 
-def _ground_factors(p: DyckPath) -> list[DyckPath]:
-    """Split at every return to the diagonal; a factor cut out of a Dyck
-    word at its returns is a Dyck word."""
-    cuts = _word_cuts(_word_heights(p.word), 0)
-    return [DyckPath._trusted(p.word[a:b]) for a, b in zip(cuts, cuts[1:])]
-
-
-def _group_factors(factors: Sequence[DyckPath], connector_kind: str,
-                   materialize_empty: bool) -> tuple[Part, ...]:
+def _group_factors(word: str, cuts: list[int], kind: str) -> tuple[Part, ...]:
     parts: list[Part] = []
     peak_run = 0
-    for factor in factors:
-        if factor.word == "UD":
+    empty_connectors = kind == IRREDUCIBLE  # between two components
+    for a, b in pairwise(cuts):
+        if b - a == 2:
             peak_run += 1
             continue
-        if peak_run or (materialize_empty and parts):
+        if peak_run or (empty_connectors and parts):
             parts.append(Part(DyckPath._trusted("UD" * peak_run), CONNECTING,
                               peak_run))
         peak_run = 0
-        parts.append(Part(factor, connector_kind))
+        parts.append(Part(DyckPath._trusted(word[a:b]), kind))
     if peak_run:
         parts.append(Part(DyckPath._trusted("UD" * peak_run), CONNECTING,
                           peak_run))
@@ -630,8 +633,9 @@ def irreducible_decomposition(p: DyckPath) -> Decomposition:
     connecting part is materialized between two adjacent irreducible
     components so that connectors can be counted uniformly.
     """
+    w = p.word
     return Decomposition(IRREDUCIBLE, _group_factors(
-        _ground_factors(p), IRREDUCIBLE, materialize_empty=True))
+        w, _factor_cuts(_word_heights(w)), IRREDUCIBLE))
 
 
 def strongly_irreducible_decomposition(p: DyckPath) -> Decomposition:
@@ -641,8 +645,9 @@ def strongly_irreducible_decomposition(p: DyckPath) -> Decomposition:
     irreducible, or a nonempty run of height-2 peaks.  Raises
     :class:`NotIrreducible` on reducible input.
     """
-    if not is_irreducible(p):
-        raise NotIrreducible(f"{p.word or '(empty)'} is not irreducible")
-    interior = DyckPath._trusted(p.word[1:-1])
+    w = p.word
+    heights = _word_heights(w)
+    if len(_factor_cuts(heights)) != 2:  # not one ground factor
+        raise NotIrreducible(f"{w or '(empty)'} is not irreducible")
     return Decomposition(STRONGLY_IRREDUCIBLE, _group_factors(
-        _ground_factors(interior), STRONGLY_IRREDUCIBLE, materialize_empty=False))
+        w, _part_cuts(heights, 0, len(w)), STRONGLY_IRREDUCIBLE))

@@ -3,10 +3,10 @@
 Both counts read the word alone.  One table tests each special shape
 (empty, minimum, zigzag, pyramid, peak-run, symmetric) by string
 comparison and gives its branch name and both counts beside the test.
-Any other word takes one pass of prefix heights, which cuts it into its
-#F ground factors and each factor f = U g_1 ... g_m D into the parts
-U g_i D, the g_i the factors of f[1:-1] at height one.  Both counts are
-whole-word statistics less local corrections, with no further dispatch.
+Any other word is cut at its returns by the one cut of :mod:`shipat.core`
+(``_factor_cuts``, ``_part_cuts``): into #F ground factors at height 0, each
+factor f = U g_1 ... g_m D into the parts U g_i D at height 1.  Both counts
+are whole-word statistics less local corrections, with no further dispatch.
 
     lower = peaks + valleys + [starts UD] + [ends UD] - 2 #(factors UD)
             - #(adjacent UUDD parts in a factor) - #(symmetric parts)
@@ -35,13 +35,16 @@ against brute force by :func:`audit_cover_counts`, an acceptance test.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from .core import (
     DyckPath,
     IndexOutOfRange,
     _Frozen,
     _check_cap,
+    _factor_cuts,
+    _part_cuts,
     _steps_before,
-    _word_cuts,
     _word_heights,
     enumerate_paths,
     is_irreducible,
@@ -108,20 +111,6 @@ def classify_branch(p: DyckPath) -> str:
     return BRANCH_STRONG
 
 
-def _factor_parts(w: str) -> list[tuple[str, list[str]]]:
-    """Every ground factor f of a Dyck word with the parts U g D of the
-    interior factors g of f, from one pass of prefix heights: inside f the
-    heights of f[1:-1] return to one at the end of each g."""
-    heights = _word_heights(w)
-    cuts = _word_cuts(heights, 0)
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        inner = [a + 1 + c for c in _word_cuts(heights[a + 1:b - 1], 1)]
-        out.append((w[a:b], ["U" + w[c:d] + "D"
-                             for c, d in zip(inner, inner[1:])]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Column subpaths
 # ---------------------------------------------------------------------------
@@ -172,15 +161,18 @@ def count_lower_covers(p: DyckPath) -> int:
         raise ValueError("lower covers need semilength >= 1")
     if (special := _special(w)) is not None:
         return special[1]
-    factors = _factor_parts(w)
+    heights = _word_heights(w)
+    factors = list(pairwise(_factor_cuts(heights)))
     # a ground factor UD has no part, and a run of adjacent UUDD parts
     # counts as one part
+    parts = [["U" + w[c:d] + "D"
+              for c, d in pairwise(_part_cuts(heights, a, b))]
+             for a, b in factors if b - a > 2]
     return (w.count("UD") + w.count("DU") + w.startswith("UD")
-            + w.endswith("UD")
-            - 2 * sum(factor == "UD" for factor, _ in factors)
-            - sum(_is_symmetric(v) for _, parts in factors for v in parts)
-            - sum(left == right == "UUDD" for _, parts in factors
-                  for left, right in zip(parts, parts[1:])))
+            + w.endswith("UD") - 2 * (len(factors) - len(parts))
+            - sum(_is_symmetric(v) for f in parts for v in f)
+            - sum(left == right == "UUDD" for f in parts
+                  for left, right in pairwise(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +185,15 @@ def count_upper_covers(p: DyckPath) -> int:
     w = p.word
     if (special := _special(w)) is not None:
         return special[2]
-    factors = _factor_parts(w)
+    heights = _word_heights(w)
+    factors = list(pairwise(_factor_cuts(heights)))
     # a ground factor UD counts one less, and each part that is neither
     # U^m D^m nor symmetric one more
-    return (_column_formula(w) - len(factors)
-            - sum(factor == "UD" for factor, _ in factors)
+    parts = ["U" + w[c:d] + "D" for a, b in factors if b - a > 2
+             for c, d in pairwise(_part_cuts(heights, a, b))]
+    return (_column_formula(w) - sum(1 + (b - a == 2) for a, b in factors)
             + sum(2 * v.find("D") != len(v) and not _is_symmetric(v)
-                  for _, parts in factors for v in parts))
+                  for v in parts))
 
 
 # ---------------------------------------------------------------------------

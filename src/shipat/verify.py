@@ -19,9 +19,13 @@ from collections.abc import Callable
 
 from . import avoidance, covers, poset
 from .core import (
+    CONNECTING,
+    IRREDUCIBLE,
+    STRONGLY_IRREDUCIBLE,
     _Frozen,
     _RUNS,
     DyckPath,
+    Part,
     ShiTableau,
     _check_cap,
     area_vector,
@@ -31,6 +35,7 @@ from .core import (
     height,
     irreducible_decomposition,
     is_irreducible,
+    is_strongly_irreducible,
     mirror,
     path_to_syt,
     path_to_tableau,
@@ -157,17 +162,41 @@ def check_bounce(n_max: int) -> str:
     return f"valid, weakly below, idempotent up to semilength {n_max}"
 
 
+def _check_parts(p: DyckPath, parts: tuple[Part, ...], kind: str,
+                 is_component: Callable[[DyckPath], bool], where: str) -> None:
+    """A part of ``kind`` passes ``is_component`` and is not UD; any other
+    part is a connecting run (UD)^m, m its peak count, next to no other
+    connector, with m = 0 only between two irreducible parts."""
+    kinds = [None, *(part.kind for part in parts), None]
+    for i, part in enumerate(parts, start=1):
+        c, m = part.component, part.peak_count
+        if part.kind == kind:
+            if c.word == "UD" or not is_component(c):
+                raise CheckFailed(f"{c} misclassified{where} in {p}")
+        elif not (part.kind == CONNECTING and m is not None and m >= 0
+                  and c.word == "UD" * m
+                  and CONNECTING not in (kinds[i - 1], kinds[i + 1])
+                  and (m or kinds[i - 1] == kinds[i + 1] == IRREDUCIBLE)):
+            raise CheckFailed(f"bad connector {c}{where} in {p}")
+
+
+def _strong_factor(sigma: DyckPath) -> bool:
+    return is_strongly_irreducible(DyckPath("U" + sigma.word + "D"))
+
+
 def check_decompositions(n_max: int) -> str:
     for p in _paths_upto(n_max):
         d = irreducible_decomposition(p)
         if d.reassemble() != p:
             raise CheckFailed(f"reassembly broke {p}")
-        for part in d.parts:
-            if part.kind == "irreducible" and not is_irreducible(part.component):
-                raise CheckFailed(f"{part.component} misclassified in {p}")
-        if (is_irreducible(p)
-                and strongly_irreducible_decomposition(p).reassemble() != p):
+        _check_parts(p, d.parts, IRREDUCIBLE, is_irreducible, "")
+        if not is_irreducible(p):
+            continue
+        strong = strongly_irreducible_decomposition(p)
+        if strong.reassemble() != p:
             raise CheckFailed(f"strong reassembly broke {p}")
+        _check_parts(p, strong.parts, STRONGLY_IRREDUCIBLE, _strong_factor,
+                     " at the strong level")
     return f"reassembly identity up to semilength {n_max}"
 
 
@@ -439,7 +468,8 @@ def _run_one(args: tuple[str, str, int]) -> CheckResult:
 def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
     """Run one suite (or "all"); results come back in registry order.
 
-    ``jobs`` > 1 runs the checks in a pool of that many worker processes.
+    ``jobs`` > 1 runs the checks in a pool of that many worker processes,
+    at most one per check.
     An ``n_max`` above :data:`VERIFY_MAX_SEMILENGTH` raises
     :class:`~shipat.core.ResourceLimit` before any check runs.
     """
@@ -449,6 +479,8 @@ def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
             raise ValueError(f"unknown suite {name!r}")
     _check_cap("verify", "semilength", n_max, VERIFY_MAX_SEMILENGTH)
     work = [(name, check, n_max) for name in names for check in SUITES[name]]
+    # a pool may start all its workers when it opens, and a check needs one
+    jobs = min(jobs, len(work))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,4 +1,5 @@
 import random
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from shipat import (
     tableau_to_path,
     valleys,
 )
+from shipat.core import _factor_cuts, _part_cuts, _word_heights
 
 from conftest import dyck_paths, uniform_word
 
@@ -265,6 +267,8 @@ class TestRunFormAndDecompositions:
     def test_strong_decomposition_requires_irreducible(self):
         with pytest.raises(NotIrreducible):
             strongly_irreducible_decomposition(parse_path("UDUD"))
+        with pytest.raises(NotIrreducible, match=r"\(empty\) is not"):
+            strongly_irreducible_decomposition(EMPTY_PATH)
 
     @given(dyck_paths(min_semilength=1))
     @settings(max_examples=60)
@@ -272,6 +276,80 @@ class TestRunFormAndDecompositions:
         assert irreducible_decomposition(p).reassemble() == p
         if is_irreducible(p):
             assert strongly_irreducible_decomposition(p).reassemble() == p
+
+
+def _cuts_by_walk(word):
+    """Every ground factor with its parts U g D, by one walk over the steps:
+    a factor ends at each return to height 0, and inside a factor an
+    interior factor g ends at each return to height 1."""
+    out, h = [], 0
+    for step in word:
+        if h == 0:
+            out.append(("", []))
+            g = ""
+        h += 1 if step == "U" else -1
+        factor, parts = out[-1]
+        out[-1] = (factor + step, parts)
+        if factor and h:  # neither the opening U nor the closing D
+            g += step
+            if h == 1:
+                parts.append("U" + g + "D")
+                g = ""
+    return out
+
+
+def _cuts(word):
+    heights = _word_heights(word)
+    return [(word[a:b], ["U" + word[c:d] + "D"
+                         for c, d in pairwise(_part_cuts(heights, a, b))])
+            for a, b in pairwise(_factor_cuts(heights))]
+
+
+class TestReturnCuts:
+    """The one cut of a word at its returns, against a step-by-step walk,
+    and the one-scan predicates that read the same structure."""
+
+    def test_every_word_up_to_semilength_10(self):
+        for s in range(11):
+            for p in enumerate_paths(s):
+                assert _cuts(p.word) == _cuts_by_walk(p.word)
+
+    def test_seeded_large_words(self):
+        rng = random.Random(32)
+        words = [uniform_word(rng, s) for s in (100, 500, 1000, 2000)]
+        for m in (100, 500, 999):
+            words += ["UD" * m, "UD" * m + "UUDD", "U" + "UUDD" * m + "D"]
+        words.append("UD" * 300 + "U" + "UUDD" * 300 + "D" + "UD" * 300)
+        # UD factors, a composite factor with UUDD parts, a symmetric part
+        # and uniform parts, and a strongly irreducible factor
+        words += ["UD" * 50 + "U" + "UUDD" * 30 + "UUU" + "DU" * 20 + "DDDD"
+                  + "U" + uniform_word(rng, 60) + "D" + uniform_word(rng, 40)
+                  + "UU" + uniform_word(rng, 80) + "DD" + "UD"
+                  for _ in range(10)]
+        for p in map(DyckPath, words):  # each word validated first
+            assert _cuts(p.word) == _cuts_by_walk(p.word)
+
+    def test_one_scan_predicates_agree_with_the_cut(self):
+        for s in range(11):
+            for p in enumerate_paths(s):
+                cut = _cuts(p.word)
+                assert is_irreducible(p) == (len(cut) == 1)
+                assert is_strongly_irreducible(p) == (
+                    len(cut) == 1 and len(cut[0][1]) <= 1)
+
+    def test_decompositions_read_the_cut(self):
+        for s in range(1, 11):
+            for p in enumerate_paths(s):
+                cut = _cuts_by_walk(p.word)
+                factors = [f for f, _ in cut if f != "UD"]
+                assert [part.component.word for part in
+                        irreducible_decomposition(p).parts
+                        if part.kind == "irreducible"] == factors
+                if len(cut) == 1:
+                    parts = [v[1:-1] for v in cut[0][1] if v != "UUDD"]
+                    assert [part.component.word for part in
+                            strongly_irreducible_decomposition(p).parts
+                            if part.kind == "strongly-irreducible"] == parts
 
 
 class TestRegions:

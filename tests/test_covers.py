@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import pairwise
 
 import pytest
 
@@ -21,6 +22,7 @@ from shipat import (
     upper_covers,
 )
 from shipat import covers
+from shipat.core import _factor_cuts, _part_cuts, _word_heights
 from shipat.covers import ALL_BRANCHES
 
 from conftest import uniform_word
@@ -44,6 +46,23 @@ class TestClassification:
         for s in range(1, 9):
             for p in enumerate_paths(s):
                 assert classify_branch(p) in ALL_BRANCHES
+
+    def test_general_branches_agree_with_the_cut(self):
+        # the three general branches keep their one-scan tests; off the
+        # special shapes they split as the cut does: more than one ground
+        # factor, more than one part in the one factor, or neither
+        for s in range(11):
+            for p in enumerate_paths(s):
+                if covers._special(p.word) is not None:
+                    continue
+                heights = _word_heights(p.word)
+                if len(_factor_cuts(heights)) > 2:
+                    want = "reducible"
+                elif len(_part_cuts(heights, 0, len(p.word))) > 2:
+                    want = "irreducible-composite"
+                else:
+                    want = "strongly-irreducible"
+                assert classify_branch(p) == want
 
 
 class TestLowerCounts:
@@ -212,7 +231,10 @@ class TestWordLevelCounts:
         parts = [wide, *run, pyramid, strong[0], "UUDD", tall, *run,
                  strong[1], "UUDD", "UUDD"]
         composite = factor(*parts)
-        assert covers._factor_parts(composite) == [(composite, parts)]
+        heights, end = _word_heights(composite), len(composite)
+        assert _factor_cuts(heights) == [0, end]
+        assert ["U" + composite[c:d] + "D"
+                for c, d in pairwise(_part_cuts(heights, 0, end))] == parts
         words += [
             composite,
             "UD" + composite + "UD" + uniform_word(rng, 300) + "UD",

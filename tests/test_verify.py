@@ -1,10 +1,13 @@
 import pytest
 
 from shipat import (
+    CONNECTING,
     EMPTY_PATH,
     IRREDUCIBLE,
+    STRONGLY_IRREDUCIBLE,
     Decomposition,
     DyckPath,
+    Part,
     avoidance,
     covers,
     poset,
@@ -18,6 +21,38 @@ def test_pool_matches_serial():
     serial = verify.run_suite("all", n_max=4, jobs=1)
     assert verify.run_suite("all", n_max=4, jobs=2) == serial
     assert all(result.ok for result in serial)
+
+
+def test_pool_has_at_most_one_worker_per_check(monkeypatch):
+    # a pool may start all max_workers processes when it opens; this one
+    # records the size it is asked for and maps serially, starting none
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = verify.run_suite("core", n_max=3, jobs=1)
+    checks = len(verify.SUITES["core"])
+    for jobs, size in ((2, 2), (checks, checks), (checks + 1, checks),
+                       (100_000, checks)):
+        assert verify.run_suite("core", n_max=3, jobs=jobs) == serial
+        assert sizes.pop() == size
+    assert verify.run_suite("all", n_max=3, jobs=10**9) == verify.run_suite(
+        "all", n_max=3, jobs=1)
+    assert sizes == [sum(map(len, verify.SUITES.values()))]
 
 
 def test_unknown_suite_rejected():
@@ -86,6 +121,8 @@ def _plus_one(answer):
     return answer + 1
 
 
+UD, UDUD = DyckPath("UD"), DyckPath("UDUD")
+
 # For every registered check, one wrong answer per counterexample it can
 # report: (module, name of the subject, the call to get wrong, how it goes
 # wrong, the start of the FAIL detail).
@@ -119,6 +156,38 @@ WRONG_ANSWERS = {
         (verify, "is_irreducible", 3, _not, "UUDD misclassified"),
         (verify, "strongly_irreducible_decomposition", 1,
          lambda d: Decomposition(IRREDUCIBLE, ()), "strong reassembly broke"),
+        # each wrong decomposition below still reassembles: call 1 is UD,
+        # call 2 UDUD; at the strong level calls 2 and 3 are UUDD, UUDUDD
+        (verify, "irreducible_decomposition", 1,
+         lambda d: Decomposition(IRREDUCIBLE, (Part(UD, IRREDUCIBLE),)),
+         "UD misclassified in UD"),
+        (verify, "irreducible_decomposition", 2,
+         lambda d: Decomposition(IRREDUCIBLE, (Part(UDUD, CONNECTING, 1),)),
+         "bad connector UDUD in UDUD"),
+        (verify, "irreducible_decomposition", 1,
+         lambda d: Decomposition(IRREDUCIBLE, (
+             Part(EMPTY_PATH, CONNECTING, 0), Part(UD, CONNECTING, 1))),
+         "bad connector (empty) in UD"),
+        (verify, "irreducible_decomposition", 2,
+         lambda d: Decomposition(IRREDUCIBLE, (
+             Part(UD, CONNECTING, 1), Part(UD, CONNECTING, 1))),
+         "bad connector UD in UDUD"),
+        (verify, "strongly_irreducible_decomposition", 1,
+         lambda d: Decomposition(STRONGLY_IRREDUCIBLE, (
+             Part(EMPTY_PATH, CONNECTING, 0),)),
+         "bad connector (empty) at the strong level in UD"),
+        (verify, "strongly_irreducible_decomposition", 2,
+         lambda d: Decomposition(STRONGLY_IRREDUCIBLE, (
+             Part(UD, STRONGLY_IRREDUCIBLE),)),
+         "UD misclassified at the strong level in UUDD"),
+        (verify, "strongly_irreducible_decomposition", 3,
+         lambda d: Decomposition(STRONGLY_IRREDUCIBLE, (
+             Part(UDUD, STRONGLY_IRREDUCIBLE),)),
+         "UDUD misclassified at the strong level in UUDUDD"),
+        (verify, "strongly_irreducible_decomposition", 3,
+         lambda d: Decomposition(STRONGLY_IRREDUCIBLE, (
+             Part(UD, CONNECTING, 1), Part(UD, CONNECTING, 1))),
+         "bad connector UD at the strong level in UUDUDD"),
     ],
     ("covers", "closed-vs-brute"): [
         (covers, "count_lower_covers", 1, _plus_one, "22 paths, 1 mismatches"),
