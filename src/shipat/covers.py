@@ -1,12 +1,14 @@
 """Closed-form cover counting, cross-validated against brute enumeration.
 
-Both counts read the word alone.  One table tests each special shape
-(empty, minimum, zigzag, pyramid, peak-run, symmetric) by string
-comparison and gives its branch name and both counts beside the test.
-Any other word is cut at its returns by the one cut of :mod:`shipat.core`
-(``_factor_cuts``, ``_part_cuts``): into #F ground factors at height 0, each
-factor f = U g_1 ... g_m D into the parts U g_i D at height 1.  Both counts
-are whole-word statistics less local corrections, with no further dispatch.
+Both counts read the word alone.  Every special word but the empty one is
+U^a (DU)^r D^a with a >= 1 and r >= 0, and one shape test reads (a, r) off
+it: minimum (1, 0), zigzag a = 1, pyramid r = 0, peak-run a = 2, symmetric
+the rest.  Any other word is cut at its returns by the one cut of
+:mod:`shipat.core` (``_factor_cuts``, ``_part_cuts``): into #F ground factors
+at height 0, each f = U g_1 ... g_m D into the parts U g_i D at height 1.
+A part is U^(a+1) (DU)^r D^(a+1) iff g_i is U^a (DU)^r D^a, so, g_i being
+irreducible, a pyramid (r = 0; UUDD iff g_i = UD) or symmetric (r >= 1).
+Both counts are whole-word statistics less local corrections on the parts.
 
     lower = peaks + valleys + [starts UD] + [ends UD] - 2 #(factors UD)
             - #(adjacent UUDD parts in a factor) - #(symmetric parts)
@@ -51,7 +53,7 @@ from .core import (
 )
 from .poset import BRUTE_MAX_SEMILENGTH, lower_covers, upper_covers
 
-# Dispatch branch names, in matching precedence order.
+# Dispatch branch names: the special shapes, then the general branches.
 BRANCH_EMPTY = "empty"
 BRANCH_MINIMUM = "minimum"
 BRANCH_ZIGZAG = "zigzag"
@@ -69,32 +71,33 @@ ALL_BRANCHES = (
 )
 
 
+def _shape(w: str) -> tuple[int, int] | None:
+    """(a, r) when the Dyck word w is U^a (DU)^r D^a with a >= 1, else None.
+
+    The first D is at a; for r >= 1 the last U is at len(w) - a - 1."""
+    n, a = len(w), w.find("D")
+    r = n // 2 - a
+    if r and (w.rfind("U") != n - a - 1 or not w.startswith("DU" * r, a)):
+        return None
+    return a, r
+
+
 def _special(w: str) -> tuple[str, int | None, int] | None:
     """Branch name, lower and upper count of a special word, else None."""
-    s = len(w) // 2
-    if s < 2:  # the empty word has no lower count: count_lower_covers refuses
-        return (BRANCH_MINIMUM, 0, 2) if s else (BRANCH_EMPTY, None, 1)
-    if w == "UD" * s:
+    if not w:  # the empty word has no lower count: count_lower_covers refuses
+        return BRANCH_EMPTY, None, 1
+    if (shape := _shape(w)) is None:
+        return None
+    (a, r), s = shape, len(w) // 2
+    if r == 0:
+        return (BRANCH_PYRAMID, 1, 2 * s) if a > 1 else (BRANCH_MINIMUM, 0, 2)
+    if a == 1:  # (UD)^s
         return BRANCH_ZIGZAG, 1, 2 * s
-    if w == "U" * s + "D" * s:
-        return BRANCH_PYRAMID, 1, 2 * s
-    if w == "U" + "UD" * (s - 1) + "D":
-        # U(UD)^m D: m lower covers, 4s - 5 upper (s >= 3: UUDD is a pyramid)
+    if a == 2:  # U (UD)^m D: m = s - 1 lower covers, 4s - 5 upper
         return BRANCH_PEAK_RUN, s - 1, 4 * s - 5
-    if _is_symmetric(w):
-        # U^a (DU)^r D^a: peaks + valleys - 1 = (r + 1) + r - 1 lower covers,
-        # and upper the column formula less one, its colU telescoping to
-        # 2r - 2a + 3 for r >= a, to 1 for r = a - 1 and to 0 below
-        a = w.find("D")
-        r = s - a
-        return BRANCH_SYMMETRIC, 2 * r, 4 * r + 3 if r >= a - 1 else 2 * s
-    return None
-
-
-def _is_symmetric(w: str) -> bool:
-    """Whether w is U^a (DU)^r D^a with a >= 3 and r >= 1."""
-    a, s = w.find("D"), len(w) // 2
-    return 3 <= a < s and w == "U" * a + "DU" * (s - a) + "D" * a
+    # peaks + valleys - 1 = 2r lower covers; upper the column formula less
+    # one, its colU telescoping to 2r - 2a + 3 (r >= a), 1 (r = a - 1) or 0
+    return BRANCH_SYMMETRIC, 2 * r, 4 * r + 3 if r >= a - 1 else 2 * s
 
 
 def classify_branch(p: DyckPath) -> str:
@@ -163,15 +166,14 @@ def count_lower_covers(p: DyckPath) -> int:
         return special[1]
     heights = _word_heights(w)
     factors = list(pairwise(_factor_cuts(heights)))
-    # a ground factor UD has no part, and a run of adjacent UUDD parts
-    # counts as one part
-    parts = [["U" + w[c:d] + "D"
-              for c, d in pairwise(_part_cuts(heights, a, b))]
+    # a ground factor UD has no part, a run of adjacent UUDD parts (g = UD)
+    # counts as one, and U g D is symmetric when g is U^a (DU)^r D^a, r >= 1
+    parts = [[w[c:d] for c, d in pairwise(_part_cuts(heights, a, b))]
              for a, b in factors if b - a > 2]
     return (w.count("UD") + w.count("DU") + w.startswith("UD")
             + w.endswith("UD") - 2 * (len(factors) - len(parts))
-            - sum(_is_symmetric(v) for f in parts for v in f)
-            - sum(left == right == "UUDD" for f in parts
+            - sum((_shape(g) or (0, 0))[1] > 0 for f in parts for g in f)
+            - sum(left == right == "UD" for f in parts
                   for left, right in pairwise(f)))
 
 
@@ -187,13 +189,11 @@ def count_upper_covers(p: DyckPath) -> int:
         return special[2]
     heights = _word_heights(w)
     factors = list(pairwise(_factor_cuts(heights)))
-    # a ground factor UD counts one less, and each part that is neither
-    # U^m D^m nor symmetric one more
-    parts = ["U" + w[c:d] + "D" for a, b in factors if b - a > 2
-             for c, d in pairwise(_part_cuts(heights, a, b))]
+    # a ground factor UD counts one less, and each part U g D one more
+    # unless it is a pyramid or symmetric, that is g is U^a (DU)^r D^a
     return (_column_formula(w) - sum(1 + (b - a == 2) for a, b in factors)
-            + sum(2 * v.find("D") != len(v) and not _is_symmetric(v)
-                  for v in parts))
+            + sum(_shape(w[c:d]) is None for a, b in factors if b - a > 2
+                  for c, d in pairwise(_part_cuts(heights, a, b))))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from shipat import (
     count_lower_covers,
     count_upper_covers,
     enumerate_paths,
+    is_irreducible,
     lower_covers,
     parse_path,
     upper_covers,
@@ -26,6 +27,22 @@ from shipat.core import _factor_cuts, _part_cuts, _word_heights
 from shipat.covers import ALL_BRANCHES
 
 from conftest import uniform_word
+
+SPECIAL_BY_SHAPE = ("minimum", "zigzag", "pyramid", "peak-run", "symmetric")
+
+
+def family(max_semilength):
+    """Every word U^a (DU)^r D^a with a >= 1, r >= 0 and a + r at most
+    max_semilength, mapped to (a, r)."""
+    return {"U" * a + "DU" * r + "D" * a: (a, r)
+            for a in range(1, max_semilength + 1)
+            for r in range(max_semilength + 1 - a)}
+
+
+def branch_of_shape(a, r):
+    if r == 0:
+        return "minimum" if a == 1 else "pyramid"
+    return "zigzag" if a == 1 else "peak-run" if a == 2 else "symmetric"
 
 
 class TestClassification:
@@ -46,6 +63,43 @@ class TestClassification:
         for s in range(1, 9):
             for p in enumerate_paths(s):
                 assert classify_branch(p) in ALL_BRANCHES
+
+    def test_special_words_are_one_family(self):
+        # a word takes a special branch iff it is empty or U^a (DU)^r D^a,
+        # and the branch is read off (a, r)
+        shapes, seen = family(11), set()
+        for s in range(12):
+            for p in enumerate_paths(s):
+                branch = classify_branch(p)
+                if p.word in shapes:
+                    assert branch == branch_of_shape(*shapes[p.word]), p.word
+                    seen.add(branch)
+                elif p.word:
+                    assert branch not in ("empty", *SPECIAL_BY_SHAPE), p.word
+                else:
+                    assert branch == "empty"
+        assert seen == set(SPECIAL_BY_SHAPE)
+
+    def test_a_family_part_is_a_pyramid_or_symmetric(self):
+        # the counts test a part U g D by its interior g: U g D is
+        # U^(a+1) (DU)^r D^(a+1) iff g is U^a (DU)^r D^a, and then a pyramid
+        # (r = 0) or symmetric (r >= 1), never a peak run or a zigzag, since
+        # g is irreducible and (UD)^r reducible for r >= 1
+        shapes = family(11)
+        for s in range(1, 11):
+            for p in enumerate_paths(s):
+                if not is_irreducible(p):
+                    continue
+                part = "U" + p.word + "D"
+                branch = classify_branch(DyckPath(part))
+                assert (part in shapes) == (branch in ("pyramid", "symmetric"))
+                shape = covers._shape(p.word)
+                if shape is None:
+                    assert part not in shapes
+                else:
+                    a, r = shape
+                    assert shapes[part] == (a + 1, r)
+                    assert branch == ("symmetric" if r else "pyramid")
 
     def test_general_branches_agree_with_the_cut(self):
         # the three general branches keep their one-scan tests; off the
@@ -241,6 +295,11 @@ class TestWordLevelCounts:
             "UDUD" + factor(*run, pyramid) + "UD" + composite + "UDUD",
             factor(strong[0], *run) + "UD" + factor(*run, tall) + pyramid,
             factor(pyramid, wide) + factor(tall, pyramid),
+            # many small factors, where the parts are read most often
+            "UUDD" * 500,
+            "U" + "UUDD" * 500 + "D",
+            "UD" * 999 + "UUDD",
+            "U" + "UUUDDD" * 300 + "D",
         ]
         for p in map(DyckPath, words):
             assert covers._special(p.word) is None
@@ -357,11 +416,8 @@ class TestWordLevelCounts:
                 assert calls == [p.word]
 
     def test_special_shapes_agree_with_the_general_walk(self, monkeypatch):
-        words = ["UD" * s for s in range(2, 31)]
-        words += ["U" * s + "D" * s for s in range(2, 31)]
-        words += ["U" + "UD" * (s - 1) + "D" for s in range(3, 31)]
-        words += ["U" * a + "DU" * r + "D" * a
-                  for a in range(3, 30) for r in range(1, 31 - a)]
+        # every U^a (DU)^r D^a from semilength 2 to 30
+        words = [word for word, (a, r) in family(30).items() if a + r >= 2]
         paths = [DyckPath(word) for word in words]
         shortcut = [(count_upper_covers(p), count_lower_covers(p))
                     for p in paths]
