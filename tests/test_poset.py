@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from shipat import (
     enumerate_paths,
     export_dot,
     hasse,
+    height,
     lower_covers,
     mirror,
     parse_path,
@@ -602,6 +603,68 @@ class TestContainmentFixpoint:
                 found += 1
         # the 2940 pairs q <= p up to semilength 6, and the seeded three
         assert found == 2943
+
+    def test_the_fixpoint_is_the_least_chain_embedding(self):
+        # every chain a_1 <= b_1 < a_2 <= ... < a_k <= b_k of a host of
+        # semilength <= 5, keyed by the word its kept steps spell
+        words = [p.word for s in range(1, 6) for p in enumerate_paths(s)]
+        found = 0
+        for host in words:
+            s = len(host) // 2
+            ups, downs = poset._step_positions(host)
+            chains = {}
+            for k in range(1, s + 1):
+                for a in combinations(range(1, s + 1), k):
+                    for b in combinations(range(1, s + 1), k):
+                        chain = [v for pair in zip(a, b) for v in pair]
+                        if all(chain[t] + (t & 1) <= chain[t + 1]
+                               for t in range(2 * k - 1)):
+                            kept = sorted([ups[i - 1] for i in a]
+                                          + [downs[i - 1] for i in b])
+                            spelt = "".join(host[pos] for pos in kept)
+                            chains.setdefault(spelt, []).append(chain)
+            for target in words:
+                if len(target) > len(host):
+                    break
+                least, _ = poset._least_embedding(host, target)
+                if target not in chains:
+                    assert least is None, (host, target)
+                    continue
+                found += 1
+                assert least in chains[target], (host, target)
+                assert all(all(x <= y for x, y in zip(least, chain))
+                           for chain in chains[target]), (host, target)
+        # the pairs q <= p up to semilength 5
+        assert found == 555
+
+    def test_pops_on_every_pair_up_to_semilength_6(self):
+        # the pops count the worklist's steps, so their total pins the
+        # order in which it raises the variables
+        words = [p.word for s in range(1, 7) for p in enumerate_paths(s)]
+        assert sum(poset._least_embedding(p, q)[1] for p in words
+                   for q in words if len(q) <= len(p)) == 204_284
+
+    def test_the_benchmark_regime_against_the_search(self):
+        # poset-queries' deletion pairs: hosts of semilength 12 less 2-3
+        # bounce deletions; then patterns one taller than their host, which
+        # no host contains, as a bounce deletion never raises the height
+        rng = random.Random(1212)
+        cases = []
+        for _ in range(200):
+            host = uniform_word(rng, 12)
+            cases.append((DyckPath(host), DyckPath(
+                _bounce_deleted(rng, host, rng.randint(2, 3))), True))
+        for p, _, _ in cases[:20]:
+            tall = height(p) + 1
+            cases.append((p, DyckPath("U" * tall + "D" * tall), False))
+        start = time.monotonic()
+        answers = [contains_pattern(p, q) for p, q, _ in cases]
+        elapsed = time.monotonic() - start
+        assert answers == [answer for _, _, answer in cases]
+        for (p, q, _), answer in zip(cases, answers):
+            assert contains_pattern_by_search(p, q) == answer, (p, q)
+        # about 3 ms on 2 vCPUs; the search takes about 0.5 s
+        assert elapsed < 1
 
     def test_tall_hosts_in_well_under_a_second(self):
         rng = random.Random(2026)

@@ -18,6 +18,7 @@ from shipat import (
     RunForm,
     ShiTableau,
     StandardTableau2,
+    enumerate_paths,
 )
 from shipat.core import _Frozen
 from shipat.covers import AuditReport, audit_cover_counts
@@ -142,6 +143,34 @@ def test_ordering_only_where_declared(cls, kwargs, text, other, bad):
     stranger = ShiTableau((0,)) if cls is DyckPath else UD
     with pytest.raises(TypeError):
         value < stranger  # noqa: B015
+
+
+def test_unchecked_paths_are_the_checked_values():
+    # enumerate_paths builds each path unchecked, its word slot set through
+    # the slot's descriptor; every one must be the value DyckPath(word) is
+    paths = [p for s in range(7) for p in enumerate_paths(s)]
+    checked = [DyckPath(p.word) for p in paths]
+    assert paths == checked and len(paths) == 197
+    for p, c in zip(paths, checked):
+        assert type(p) is DyckPath and hash(p) == hash(c)
+        assert repr(p) == repr(c) and p <= c <= p
+        clones = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*clones, copy.copy(p), copy.deepcopy(p)):
+            assert type(clone) is DyckPath and clone == c
+            assert hash(clone) == hash(c) and repr(clone) == repr(c)
+        with pytest.raises(AttributeError):
+            p.word = c.word
+        with pytest.raises(AttributeError):
+            del p.word
+        with pytest.raises(AttributeError):
+            p.not_a_field = 1
+        assert p.word == c.word
+    # the order of the words, whichever constructor built either side
+    for (p, q), (c, d) in zip(zip(paths, paths[1:]), zip(checked, checked[1:])):
+        assert (p < q) == (c < q) == (p < d) == (p.word < q.word)
+        assert (p > q) == (c > q) == (p >= d) == (p.word > q.word)
+    assert sorted(paths, reverse=True) == sorted(checked, reverse=True)
 
 
 # one construction per value class with integer fields, each passing every
