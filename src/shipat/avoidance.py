@@ -37,6 +37,8 @@ before: te/tf/tg rows read its diagonal, tv/tor rows add a band sum to it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import islice
 
 from .core import (
     DyckPath,
@@ -312,22 +314,31 @@ def f_count(m: int, n: int, k: int) -> int:
     return _strip_by_reflection(m, n, k)
 
 
+def _strip_columns(n: int, k: int) -> Iterator[list[int]]:
+    """The oracle's dynamic program, column by column: column x, for
+    x = 0..n, is a fresh list whose entry y counts the strip-confined paths
+    to (x, y), for y = 0..n.  A path to (x, y) never passes height y, so
+    entry y does not depend on n, and one walk to (n, n) holds every
+    f(m, y, k) with m, y <= n."""
+    column = [1 if y <= k else 0 for y in range(n + 1)]
+    yield column
+    for x in range(1, n + 1):
+        new = [0] * (n + 1)
+        for y in range(x, min(x + k, n) + 1):
+            new[y] = column[y] + (new[y - 1] if y > x else 0)
+        column = new
+        yield column
+
+
 def f_count_oracle(m: int, n: int, k: int) -> int:
-    """Independent dynamic-programming count of the same strip-confined paths."""
+    """Independent dynamic-programming count of the same strip-confined
+    paths: entry n of column m of :func:`_strip_columns`, which keeps one
+    column at a time."""
     if m < 0 or n < 0 or k < 0:
         raise ValueError("m, n, k must be >= 0")
     if not 0 <= n - m <= k:
         return 0
-    # dp over columns: dp[y] = paths reaching (x, y)
-    dp = [0] * (n + 1)
-    for y in range(0, min(k, n) + 1):
-        dp[y] = 1
-    for x in range(1, m + 1):
-        new = [0] * (n + 1)
-        for y in range(x, min(x + k, n) + 1):
-            new[y] = dp[y] + (new[y - 1] if y > x else 0)
-        dp = new
-    return dp[n]
+    return next(islice(_strip_columns(n, k), m, None))[n]
 
 
 def zeta(p: DyckPath) -> DyckPath:

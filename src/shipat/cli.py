@@ -30,7 +30,9 @@ one walk of a strip, and the size cap is checked before it starts.
 
 Each command imports only what it runs: :mod:`shipat.verify` is imported by
 ``verify`` alone, and its process pool only for ``verify --jobs N`` with
-N > 1, so a cold process for any other command loads neither.
+N > 1 and ``--n-max`` at least :data:`~shipat.verify.POOL_MIN_SEMILENGTH`,
+so a cold process for any other command loads neither, and a smaller
+``verify`` runs its checks inline whatever ``--jobs`` says.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ are written, and :func:`_run_one` the only place a check's outcome becomes
 a :class:`CheckResult`; to add a check, write ``check_x(n_max) -> str`` and
 give it one entry in :data:`SUITES`.  The CLI ``verify`` subcommand runs
 these and exits nonzero if anything fails.
-:func:`run_suite` with ``jobs`` > 1 spreads the checks over a process pool,
-and only then imports the pool machinery (``concurrent.futures`` and with it
-``multiprocessing``), which costs a cold process about 40 ms.
+:func:`run_suite` with ``jobs`` > 1 spreads the checks over a process pool
+only from ``n_max`` = :data:`POOL_MIN_SEMILENGTH` on, and only then imports
+the pool machinery (``concurrent.futures`` and with it ``multiprocessing``);
+below that the pool's fixed cold cost is more than it saves, so the checks
+run inline.  The results are the same either way.
 """
 
 from __future__ import annotations
@@ -403,12 +405,14 @@ def check_mirror_symmetry(n_max: int) -> str:
 
 def check_f_count(n_max: int) -> str:
     # The grid runs both evaluations of f_count: (k + 2)^3 <= 4(m + n)
-    # folds k <= 3 once m + n is large enough, and the rest reflect.  The
-    # detail line is pinned byte for byte, so it keeps its old wording.
-    for m in range(0, 21):
-        for n in range(0, 21):
-            for k in range(0, 9):
-                if avoidance.f_count(m, n, k) != avoidance.f_count_oracle(m, n, k):
+    # folds k <= 3 once m + n is large enough, and the rest reflect.  One
+    # walk of the oracle's columns to (20, 20) holds every f(m, n, k) of a
+    # k.  The detail line is pinned byte for byte, so it keeps its old
+    # wording.
+    for k in range(0, 9):
+        for m, column in enumerate(avoidance._strip_columns(20, k)):
+            for n in range(0, 21):
+                if avoidance.f_count(m, n, k) != column[n]:
                     raise CheckFailed(f"mismatch at ({m}, {n}, {k})")
     return "reflection formula = DP oracle on 0..20 x 0..20 x 0..8"
 
@@ -455,6 +459,17 @@ SUITES: dict[str, dict[str, Callable[[int], str]]] = {
 
 VERIFY_MAX_SEMILENGTH = 10  # the largest n_max run_suite accepts
 
+# The smallest n_max at which run_suite opens a pool for jobs > 1: below it
+# the pool's fixed cold cost (importing concurrent.futures.process, forking
+# the workers, the queues; about 45 ms) is more than it saves.  Cold
+# run_suite("all", n_max) in ms, inline against a pool of 2, import
+# included, median of 9-15 alternating fresh processes on 2 vCPUs:
+#
+#     n_max      4     5     6     7     10
+#     inline    23    63   166   601  7535
+#     pool      67   107   199   428  5238
+POOL_MIN_SEMILENGTH = 7
+
 
 def _run_one(args: tuple[str, str, int]) -> CheckResult:
     """Run one registered check; the only place a result is built."""
@@ -469,7 +484,9 @@ def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
     """Run one suite (or "all"); results come back in registry order.
 
     ``jobs`` > 1 runs the checks in a pool of that many worker processes,
-    at most one per check.
+    at most one per check, when ``n_max`` is at least
+    :data:`POOL_MIN_SEMILENGTH`; below it they run inline, as for
+    ``jobs`` = 1, and no pool is opened or imported.
     An ``n_max`` above :data:`VERIFY_MAX_SEMILENGTH` raises
     :class:`~shipat.core.ResourceLimit` before any check runs.
     """
@@ -481,7 +498,7 @@ def run_suite(suite: str, n_max: int = 7, jobs: int = 1) -> list[CheckResult]:
     work = [(name, check, n_max) for name in names for check in SUITES[name]]
     # a pool may start all its workers when it opens, and a check needs one
     jobs = min(jobs, len(work))
-    if jobs > 1:
+    if jobs > 1 and n_max >= POOL_MIN_SEMILENGTH:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -151,6 +151,11 @@ class TestCounting:
                 for k in range(6):
                     assert f_count(m, n, k) == f_count_oracle(m, n, k)
 
+    def test_f_count_oracle_is_the_column_walk(self):
+        for k in range(9):
+            for m, column in enumerate(avoidance._strip_columns(20, k)):
+                assert [f_count_oracle(m, n, k) for n in range(21)] == column
+
     def test_bounded_height_counts_enumerated_paths(self):
         for s in range(11):
             heights = [height(p) for p in enumerate_paths(s)]

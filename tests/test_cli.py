@@ -6,6 +6,7 @@ import pytest
 
 from shipat import avoidance, poset
 from shipat.cli import main
+from shipat.verify import POOL_MIN_SEMILENGTH
 
 TV5_LINE = "1 2 5 14 42 131 413 1294 4007 12272 37277 112622 339152 1019457\n"
 
@@ -222,7 +223,8 @@ class TestOthers:
         assert "FAIL" not in out
 
     def test_verify_pool_same_stdout(self, capsys):
-        argv = ["verify", "--suite", "core", "--n-max", "4", "--jobs"]
+        argv = ["verify", "--suite", "core", "--n-max",
+                str(POOL_MIN_SEMILENGTH), "--jobs"]
         code_1, out_1, _ = run_cli(capsys, *argv, "1")
         code_2, out_2, _ = run_cli(capsys, *argv, "2")
         assert code_1 == code_2 == 0
@@ -368,8 +370,10 @@ print(code, *(name for name in {HEAVY!r} if name in sys.modules))
                  id="misuse"),
     pytest.param(["verify", "--suite", "core", "--n-max", "3",
                   "--jobs", "1"], 0, ["shipat.verify"], id="verify-jobs-1"),
-    pytest.param(["verify", "--suite", "core", "--n-max", "3",
-                  "--jobs", "2"], 0,
+    pytest.param(["verify", "--suite", "all", "--n-max", "4",
+                  "--jobs", "2"], 0, ["shipat.verify"], id="verify-inline"),
+    pytest.param(["verify", "--suite", "core", "--n-max",
+                  str(POOL_MIN_SEMILENGTH), "--jobs", "2"], 0,
                  ["concurrent.futures", "multiprocessing", "shipat.verify"],
                  id="verify-jobs-2"),
 ])

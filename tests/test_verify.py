@@ -17,15 +17,23 @@ from shipat.cli import main
 from shipat.poset import Deletion
 
 
-def test_pool_matches_serial():
-    serial = verify.run_suite("all", n_max=4, jobs=1)
-    assert verify.run_suite("all", n_max=4, jobs=2) == serial
-    assert all(result.ok for result in serial)
+@pytest.fixture(scope="module")
+def serial_all():
+    """Every check run inline at the smallest n_max that opens a pool."""
+    return verify.run_suite("all", n_max=verify.POOL_MIN_SEMILENGTH, jobs=1)
 
 
-def test_pool_has_at_most_one_worker_per_check(monkeypatch):
-    # a pool may start all max_workers processes when it opens; this one
-    # records the size it is asked for and maps serially, starting none
+def test_pool_matches_serial(serial_all):
+    assert verify.run_suite("all", n_max=verify.POOL_MIN_SEMILENGTH,
+                            jobs=2) == serial_all
+    assert all(result.ok for result in serial_all)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand a SerialPool in for the process pool and return the sizes it
+    is asked for: it records each size and maps serially, starting no
+    process."""
     import concurrent.futures
 
     sizes = []
@@ -44,15 +52,27 @@ def test_pool_has_at_most_one_worker_per_check(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = verify.run_suite("core", n_max=3, jobs=1)
+    return sizes
+
+
+def test_pool_has_at_most_one_worker_per_check(pool_sizes, serial_all):
+    # a pool may start all max_workers processes when it opens
+    n_max = verify.POOL_MIN_SEMILENGTH
+    serial = verify.run_suite("core", n_max=n_max, jobs=1)
     checks = len(verify.SUITES["core"])
     for jobs, size in ((2, 2), (checks, checks), (checks + 1, checks),
                        (100_000, checks)):
-        assert verify.run_suite("core", n_max=3, jobs=jobs) == serial
-        assert sizes.pop() == size
-    assert verify.run_suite("all", n_max=3, jobs=10**9) == verify.run_suite(
-        "all", n_max=3, jobs=1)
-    assert sizes == [sum(map(len, verify.SUITES.values()))]
+        assert verify.run_suite("core", n_max=n_max, jobs=jobs) == serial
+        assert pool_sizes.pop() == size
+    assert verify.run_suite("all", n_max=n_max, jobs=10**9) == serial_all
+    assert pool_sizes == [sum(map(len, verify.SUITES.values()))]
+
+
+def test_no_pool_below_the_pool_semilength(pool_sizes):
+    for suite, n_max in (("all", 4), ("core", verify.POOL_MIN_SEMILENGTH - 1)):
+        assert verify.run_suite(suite, n_max=n_max, jobs=2) == verify.run_suite(
+            suite, n_max=n_max, jobs=1)
+    assert pool_sizes == []
 
 
 def test_unknown_suite_rejected():
@@ -119,6 +139,13 @@ def _not(answer):
 
 def _plus_one(answer):
     return answer + 1
+
+
+def _first_entry_plus_one(columns):
+    """The columns, except that entry 0 of column 0 is one too large."""
+    first = next(columns)
+    yield [first[0] + 1, *first[1:]]
+    yield from columns
 
 
 UD, UDUD = DyckPath("UD"), DyckPath("UDUD")
@@ -245,7 +272,8 @@ WRONG_ANSWERS = {
     ],
     ("avoidance", "f-count"): [
         (avoidance, "f_count", 1, _plus_one, "mismatch at (0, 0, 0)"),
-        (avoidance, "f_count_oracle", 1, _plus_one, "mismatch at (0, 0, 0)"),
+        (avoidance, "_strip_columns", 1, _first_entry_plus_one,
+         "mismatch at (0, 0, 0)"),
     ],
     ("avoidance", "closed-vs-brute"): [
         (avoidance, "avoider_rows", 1, lambda rows: [rows[0] + 1, *rows[1:]],
