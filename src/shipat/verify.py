@@ -284,7 +284,9 @@ def classify_double_cover(p: DyckPath, d1: poset.Deletion,
     """
     word = p.word
     run_id = [rid for rid, run in enumerate(_RUNS.findall(word)) for _ in run]
-    ups, downs = poset._step_positions(word)
+    ups, downs = [], []
+    for pos, char in enumerate(word):
+        (ups if char == "U" else downs).append(pos)
     u1, u2 = ups[d1.i - 1], ups[d2.i - 1]
     v1, v2 = downs[d1.k - 1], downs[d2.k - 1]
     if run_id[u1] == run_id[u2] and run_id[v1] == run_id[v2]:

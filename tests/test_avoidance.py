@@ -112,6 +112,13 @@ class TestCharacterizations:
                 assert avoids_tv2_shape(p) == avoids_characterized(p, "tv", 2)
                 assert avoids_tor2_shape(p) == avoids_characterized(p, "tor", 2)
 
+    def test_the_rows_with_a_full_box_follow_the_first_ascent(self):
+        # _stripped_height keeps the rows after the first ascent
+        for s in range(11):
+            for p in enumerate_paths(s):
+                full = sum(1 for i, a in enumerate(area_vector(p)) if a < i)
+                assert full == s - max(p.word.find("D"), 0), p.word
+
     @given(dyck_paths(min_semilength=1, max_semilength=6))
     @settings(max_examples=50)
     def test_mirror_exchanges_tv_tor(self, p):

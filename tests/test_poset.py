@@ -47,6 +47,13 @@ from shipat.poset import contains_pattern_by_search
 from conftest import dyck_paths, uniform_word
 
 
+def _positions(word):
+    """Word positions of the U steps and of the D steps, in order."""
+    ups = [pos for pos, char in enumerate(word) if char == "U"]
+    downs = [pos for pos, char in enumerate(word) if char == "D"]
+    return ups, downs
+
+
 class TestDeletions:
     def test_figure_deletions(self):
         p = parse_path("UUDUUDUDDUDD")
@@ -65,6 +72,28 @@ class TestDeletions:
             bounce_delete(parse_path("UUDD"), Deletion(3, 3))
         with pytest.raises(IndexOutOfRange):
             bounce_delete(parse_path("UD"), Deletion(1, 1))
+
+    def test_the_split_drops_the_steps_at_their_positions(self):
+        # every deletion of every word with s <= 8, and ten seeded U
+        # indices, each with both D indices, of 20 words at s = 100-500
+        rng = random.Random(36)
+        cases = [(p.word, list(poset.deletions(p)))
+                 for s in range(2, 9) for p in enumerate_paths(s)]
+        for _ in range(20):
+            s = rng.randint(100, 500)
+            cases.append((uniform_word(rng, s), [
+                Deletion(i, k) for i in rng.sample(range(2, s + 1), 10)
+                for k in (i - 1, i)]))
+        count = 0
+        for word, ds in cases:
+            ups, downs = _positions(word)
+            p = DyckPath(word)
+            for d in ds:
+                a, b = sorted((ups[d.i - 1], downs[d.k - 1]))
+                expect = word[:a] + word[a + 1:b] + word[b + 1:]
+                assert bounce_delete(p, d).word == expect, (word, d)
+                count += 1
+        assert count == 28_986 + 400
 
     def test_deletions_always_valid(self):
         # the (i, i-1) variant never dips below the diagonal; the kernel
@@ -584,7 +613,7 @@ def _bounce_deleted(rng, word, count):
     still has its original labels when its turn comes: the result is the
     word without those steps.
     """
-    ups, downs = poset._step_positions(word)
+    ups, downs = _positions(word)
     picks = sorted(rng.sample(range(1, len(ups) - count + 2), count))
     drop = set()
     for r, pick in enumerate(picks):
@@ -630,7 +659,7 @@ class TestContainmentFixpoint:
         found = 0
         for host in words:
             s = len(host) // 2
-            ups, downs = poset._step_positions(host)
+            ups, downs = _positions(host)
             chains = {}
             for k in range(1, s + 1):
                 for a in combinations(range(1, s + 1), k):

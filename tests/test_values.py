@@ -69,17 +69,35 @@ IDS = [row[0].__name__ for row in ROWS]
 ORDERED = (DyckPath, ShiTableau)
 
 
-def test_every_value_class_has_a_row():
+def _frozen_classes():
+    """Every subclass of _Frozen in shipat, the private ones included."""
     for module in pkgutil.iter_modules(shipat.__path__):
         importlib.import_module(f"shipat.{module.name}")
     found, bases = set(), [_Frozen]
     while bases:
         for cls in bases.pop().__subclasses__():
             bases.append(cls)
-            if cls.__module__.startswith("shipat.") \
-                    and not cls.__name__.startswith("_"):
+            if cls.__module__.startswith("shipat."):
                 found.add(cls)
+    return found
+
+
+def test_every_value_class_has_a_row():
+    found = {cls for cls in _frozen_classes()
+             if not cls.__name__.startswith("_")}
     assert found == {row[0] for row in ROWS}
+
+
+def test_one_store_per_slot_in_slot_order():
+    classes = _frozen_classes()
+    assert len(classes) == len(ROWS) + 1  # and _Ordered, with no slot
+    for cls in classes:
+        assert len(cls._stores) == len(cls.__slots__), cls
+        value = object.__new__(cls)
+        marks = [object() for _ in cls.__slots__]
+        for store, mark in zip(cls._stores, marks):
+            store(value, mark)
+        assert [getattr(value, name) for name in cls.__slots__] == marks
 
 
 @pytest.mark.parametrize("cls, kwargs, text, other, bad", ROWS, ids=IDS)

@@ -17,13 +17,10 @@ from shipat.cli import main
 from shipat.poset import Deletion
 
 
-@pytest.fixture(scope="module")
-def serial_all():
-    """Every check run inline at the smallest n_max that opens a pool."""
-    return verify.run_suite("all", n_max=verify.POOL_MIN_SEMILENGTH, jobs=1)
-
-
-def test_pool_matches_serial(serial_all):
+def test_pool_matches_serial():
+    # every check, inline and pooled, at the smallest n_max that opens a pool
+    serial_all = verify.run_suite("all", n_max=verify.POOL_MIN_SEMILENGTH,
+                                  jobs=1)
     assert verify.run_suite("all", n_max=verify.POOL_MIN_SEMILENGTH,
                             jobs=2) == serial_all
     assert all(result.ok for result in serial_all)
@@ -55,17 +52,29 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_pool_has_at_most_one_worker_per_check(pool_sizes, serial_all):
-    # a pool may start all max_workers processes when it opens
+def test_pool_has_at_most_one_worker_per_check(pool_sizes, monkeypatch):
+    # a pool may start all max_workers processes when it opens; only its
+    # size and the order of its results matter here, so every check is a
+    # stand-in that names itself (test_pool_matches_serial runs the real
+    # ones in a real pool)
     n_max = verify.POOL_MIN_SEMILENGTH
-    serial = verify.run_suite("core", n_max=n_max, jobs=1)
+    expected = {"all": []}
+    for suite, checks in verify.SUITES.items():
+        expected[suite] = []
+        for name in list(checks):
+            monkeypatch.setitem(checks, name,
+                                lambda n, tag=f"{suite}.{name}": f"{tag} at {n}")
+            expected[suite].append(verify.CheckResult(
+                suite, name, True, f"{suite}.{name} at {n_max}"))
+        expected["all"] += expected[suite]
     checks = len(verify.SUITES["core"])
     for jobs, size in ((2, 2), (checks, checks), (checks + 1, checks),
                        (100_000, checks)):
-        assert verify.run_suite("core", n_max=n_max, jobs=jobs) == serial
+        assert verify.run_suite("core", n_max=n_max,
+                                jobs=jobs) == expected["core"]
         assert pool_sizes.pop() == size
-    assert verify.run_suite("all", n_max=n_max, jobs=10**9) == serial_all
-    assert pool_sizes == [sum(map(len, verify.SUITES.values()))]
+    assert verify.run_suite("all", n_max=n_max, jobs=10**9) == expected["all"]
+    assert pool_sizes == [len(expected["all"])] == [17]
 
 
 def test_no_pool_below_the_pool_semilength(pool_sizes):
